@@ -47,6 +47,12 @@ cargo build --release --workspace
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+# The root package's suite does not reach the kernel, layer and resource
+# suites (gemm proptests, dispatch boundaries, conv/linear bitwise
+# stability, the span/flop contract); run them explicitly.
+echo "==> tier-1: cargo test -q -p adq-tensor -p adq-nn -p adq-bench"
+cargo test -q -p adq-tensor -p adq-nn -p adq-bench
+
 # The data-parallel trainer promises bit-identical results at any worker
 # count; one extra pass under a small pool exercises the parallel schedule
 # everywhere the suite asserts serial numbers.
@@ -271,12 +277,10 @@ if [[ "$BENCH" -eq 1 ]]; then
     if [[ -n "$baseline" ]]; then
         echo "==> bench: regression check vs committed baseline"
         cargo run --release -p adq-bench --bin bench_check -- \
-            "$baseline" BENCH_kernels.json --max-regress 0.25 --scratch-within 0.25
+            "$baseline" BENCH_kernels.json --max-regress 0.25
         rm -f "$baseline"
     else
-        echo "==> bench: no committed baseline yet (self-check only)"
-        cargo run --release -p adq-bench --bin bench_check -- \
-            BENCH_kernels.json --scratch-within 0.25
+        echo "==> bench: no committed baseline yet (first snapshot)"
     fi
 
     echo "==> bench: criterion epoch (quick mode) -> BENCH_epoch.json"

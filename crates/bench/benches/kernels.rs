@@ -11,13 +11,12 @@
 
 use adq_quant::{BitWidth, QuantRange, Quantizer};
 use adq_tensor::{
-    im2col, im2col_scratch, init, matmul, matmul_a_bt, matmul_a_bt_naive, matmul_at_b,
-    matmul_at_b_naive, matmul_naive, matmul_scratch, Conv2dGeom, Scratch, Tensor,
+    im2col, init, matmul, matmul_a_bt, matmul_a_bt_naive, matmul_at_b, matmul_at_b_naive,
+    matmul_naive, Conv2dGeom, Tensor,
 };
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 
-/// `C = A·B` pairs: the blocked kernel vs the pre-PR naive kernel, plus a
-/// scratch-warm variant showing the arena amortising pack allocations.
+/// `C = A·B` pairs: the dispatched kernel vs the naive kernel.
 fn bench_gemm_nn(c: &mut Criterion) {
     // (group, m, k, n): paper-relevant GEMM shapes.
     // vgg19_conv:   O=512 filters over C·p² = 512·9 = 4608 taps, 1024 output
@@ -50,15 +49,6 @@ fn bench_gemm_nn(c: &mut Criterion) {
         });
         group.bench_function("blocked", |bch| {
             bch.iter(|| black_box(matmul(black_box(&a), black_box(&b)).expect("shapes agree")))
-        });
-        let mut scratch = Scratch::new();
-        group.bench_function("blocked_scratch", |bch| {
-            bch.iter(|| {
-                black_box(
-                    matmul_scratch(black_box(&a), black_box(&b), &mut scratch)
-                        .expect("shapes agree"),
-                )
-            })
         });
         group.finish();
     }
@@ -114,8 +104,8 @@ fn bench_gemm_transposed(c: &mut Criterion) {
     group.finish();
 }
 
-/// im2col lowering of a mid-network VGG-style activation, cold vs
-/// scratch-warm.
+/// im2col lowering of a mid-network VGG-style activation, unit and
+/// strided.
 fn bench_im2col(c: &mut Criterion) {
     let mut rng = init::rng(13);
     let input = init::normal(&[8, 64, 32, 32], 0.0, 1.0, &mut rng);
@@ -125,13 +115,6 @@ fn bench_im2col(c: &mut Criterion) {
     let mut group = c.benchmark_group("im2col");
     group.bench_function("vgg_3x3_pad1", |bch| {
         bch.iter(|| black_box(im2col(black_box(&input), &geom).unwrap()))
-    });
-    let mut scratch = Scratch::new();
-    group.bench_function("vgg_3x3_pad1_scratch", |bch| {
-        bch.iter(|| {
-            let cols = im2col_scratch(black_box(&input), &geom, &mut scratch).unwrap();
-            scratch.give(black_box(cols).into_vec());
-        })
     });
     group.bench_function("vgg_3x3_stride2", |bch| {
         bch.iter(|| black_box(im2col(black_box(&input), &strided).unwrap()))

@@ -165,3 +165,32 @@ fn untracked_spans_stay_attribution_free() {
         );
     }
 }
+
+#[test]
+fn traced_matmul_span_counts_its_own_flops() {
+    let _guard = GLOBALS.lock().unwrap_or_else(PoisonError::into_inner);
+    span::set_level(0);
+    span::drain();
+
+    // 64·96·80 is above the blocked-plan floor, so the span records at
+    // level 1.
+    let (m, k, n) = (64usize, 96usize, 80usize);
+    let a = adq_tensor::Tensor::full(&[m, k], 0.5);
+    let b = adq_tensor::Tensor::full(&[k, n], 0.25);
+    span::set_level(1);
+    alloc::set_tracking(true);
+    adq_tensor::matmul(&a, &b).unwrap();
+    alloc::set_tracking(false);
+    span::set_level(0);
+    let records = span::drain();
+    let matmul = records
+        .iter()
+        .find(|r| r.name == "tensor.matmul")
+        .expect("a tensor.matmul span");
+    let flops = matmul.attrs.iter().find(|(key, _)| *key == "flops");
+    assert_eq!(
+        flops.map(|(_, v)| v.clone()),
+        Some(adq_telemetry::AttrValue::U64((2 * m * n * k) as u64)),
+        "the matmul span must carry the flops of the product it wraps"
+    );
+}

@@ -14,8 +14,8 @@
 //! - [`ServeConfig::replicas`] **replica executors** pop coalesced
 //!   batches off the queue and run them through a *shared*
 //!   [`ServeModel`] (an `Arc` clone per replica — packed weights are
-//!   shared, while each replica thread gets its own thread-keyed scratch
-//!   arena and staging buffers), writing responses straight back to each
+//!   shared, while each replica thread allocates its own staging
+//!   buffers), writing responses straight back to each
 //!   request's connection. Batches therefore execute concurrently across
 //!   replicas.
 //!
@@ -38,7 +38,10 @@
 //! carries a UTF-8 error message, status `2` is a shed/overload refusal
 //! (UTF-8 reason), and status `3` is a **goodbye** frame the server sends
 //! on every connection right before closing it during shutdown — a client
-//! never sees an unexplained EOF mid-request.
+//! never sees an unexplained EOF mid-request. An infer request whose
+//! input has the wrong length, or holds a NaN or ±inf, is answered with
+//! status `1` and never reaches a model; the non-finite refusals also
+//! count in `serve.rejected_nonfinite`.
 //!
 //! The high bit of the kind byte ([`FLAG_TRACED`]) is a version-tolerant
 //! tracing opt-in: a client setting it on an infer request receives the
@@ -56,7 +59,8 @@
 //! `serve.latency_ns` (enqueue → response written) and
 //! `serve.batch_run_ns` histograms plus a per-replica
 //! `serve.replica{i}.batch_run_ns`; `serve.requests` / `serve.errors` /
-//! `serve.shed_total` / `serve.queue_rejected` counters — all through the
+//! `serve.shed_total` / `serve.queue_rejected` /
+//! `serve.rejected_nonfinite` counters — all through the
 //! global [`adq_telemetry::metrics`] registry, so a `MetricsEndpoint` in
 //! the same process exposes them to Prometheus and `adq-watch --scrape`.
 //!
@@ -148,7 +152,7 @@ mod readiness {
     const POLLIN: i16 = 0x001;
 
     extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+        fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout: i32) -> i32;
     }
 
     /// Indices of `fds` with pending events (readable, hung up, or
@@ -167,7 +171,11 @@ mod readiness {
                 revents: 0,
             })
             .collect();
-        let rc = unsafe { poll(pollfds.as_mut_ptr(), pollfds.len() as u64, timeout_ms) };
+        let nfds = pollfds.len() as std::os::raw::c_ulong;
+        // SAFETY: `pollfds` is a live, exclusively borrowed array of
+        // `nfds` `#[repr(C)]` pollfd records, which poll(2) only reads
+        // and writes within that length.
+        let rc = unsafe { poll(pollfds.as_mut_ptr(), nfds, timeout_ms) };
         if rc <= 0 {
             return Vec::new();
         }
@@ -249,9 +257,8 @@ pub struct ServeConfig {
     /// Fixed number of connection workers multiplexing all sockets.
     pub conn_workers: usize,
     /// Model replicas executing batches in parallel. Replicas share the
-    /// packed weights (`Arc` clones); each gets its own executor thread,
-    /// thread-keyed scratch, and `serve.replica{i}.batch_run_ns`
-    /// histogram.
+    /// packed weights (`Arc` clones); each gets its own executor thread
+    /// and `serve.replica{i}.batch_run_ns` histogram.
     pub replicas: usize,
     /// Bound on queued (admitted, not yet executing) requests.
     pub queue_cap: usize,
@@ -547,6 +554,7 @@ impl Server {
         m.counter("serve.errors");
         m.counter("serve.shed_total");
         m.counter("serve.queue_rejected");
+        m.counter("serve.rejected_nonfinite");
         m.counter("serve.access_log.records");
         m.counter("serve.access_log.dropped");
         m.counter("serve.access_log.write_errors");
@@ -856,10 +864,19 @@ fn handle_frame(
             requests.inc();
             let trace_id = shared.next_trace_id();
             let echo = traced.then_some(trace_id);
-            if body.len() != shared.input_len {
+            let invalid = if body.len() != shared.input_len {
+                Some("bad input length")
+            } else if !body.iter().all(|v| v.is_finite()) {
+                // NaN would encode to code 0 and come back as a confident
+                // wrong answer; refuse it instead
+                metrics::global().counter("serve.rejected_nonfinite").inc();
+                Some("non-finite input")
+            } else {
+                None
+            };
+            if let Some(reason) = invalid {
                 errors.inc();
-                conn.writer
-                    .send(STATUS_ERR, id, &ErrBody("bad input length"), echo);
+                conn.writer.send(STATUS_ERR, id, &ErrBody(reason), echo);
                 if let Some(log) = &shared.log {
                     log.record(RequestRecord {
                         trace_id,

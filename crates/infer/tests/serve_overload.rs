@@ -345,3 +345,49 @@ fn load_generate_counts_sheds_separately_from_errors() {
     );
     server.shutdown();
 }
+
+/// A NaN or infinite input value would quantize to an arbitrary code and
+/// come back as a confident wrong answer: the server refuses such
+/// payloads with a typed error, counts them, and keeps the connection
+/// serving finite requests.
+#[test]
+fn non_finite_inputs_are_refused_and_the_connection_keeps_serving() {
+    let model = Arc::new(SlowModel::new(Duration::ZERO));
+    let mut server = Server::bind(
+        "127.0.0.1:0",
+        Arc::clone(&model) as Arc<dyn ServeModel>,
+        ServeConfig {
+            max_batch: 1,
+            max_wait: Duration::from_millis(1),
+            replicas: 1,
+            conn_workers: 1,
+            queue_cap: 4,
+            overload: OverloadPolicy::Reject,
+        },
+    )
+    .unwrap();
+    let input_len = model.input_len();
+    let rejected_before = counter("serve.rejected_nonfinite");
+
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut input = vec![1.0; input_len];
+        input[input_len - 1] = bad;
+        match client.infer(&input).unwrap() {
+            Reply::Refused(msg) => assert!(msg.contains("non-finite"), "{bad}: {msg}"),
+            other => panic!("{bad} input was not refused: {other:?}"),
+        }
+    }
+    match client.infer(&vec![5.0; input_len]).unwrap() {
+        Reply::Logits(logits) => assert_eq!(logits, vec![5.0, 6.0, 7.0]),
+        other => panic!("finite request after the refusals failed: {other:?}"),
+    }
+    assert_eq!(counter("serve.rejected_nonfinite") - rejected_before, 3);
+    assert_eq!(
+        model.rows.load(Ordering::SeqCst),
+        1,
+        "only the finite request may reach the model"
+    );
+
+    server.shutdown();
+}

@@ -1,7 +1,4 @@
-use adq_tensor::{
-    col2im, im2col_scratch, init, matmul_a_bt_scratch, matmul_at_b_scratch, matmul_scratch,
-    Conv2dGeom, Scratch, Tensor,
-};
+use adq_tensor::{col2im, im2col, init, matmul, matmul_a_bt, matmul_at_b, Conv2dGeom, Tensor};
 use rand::Rng;
 
 use crate::param::Param;
@@ -10,12 +7,6 @@ use crate::param::Param;
 ///
 /// Weights are stored as `[O, I·p·p]` (already flattened for the matmul);
 /// use [`Conv2d::geom`] for the logical `[O, I, p, p]` view.
-///
-/// The layer owns a [`Scratch`] arena: the im2col column matrix, GEMM pack
-/// panels and intermediate gradient matrices are recycled through it across
-/// batches instead of re-allocated per call (watch the
-/// `tensor.scratch.reuse_hits` counter). Cloning the layer clones weights
-/// but starts the clone's arena cold.
 ///
 /// # Example
 ///
@@ -36,7 +27,6 @@ pub struct Conv2d {
     /// Per-output-channel bias, `[O]`.
     pub bias: Param,
     cache: Option<Cache>,
-    scratch: Scratch,
 }
 
 #[derive(Debug, Clone)]
@@ -58,7 +48,6 @@ impl Conv2d {
             weight: Param::new("conv.weight", weight),
             bias: Param::new("conv.bias", Tensor::zeros(&[geom.out_channels])),
             cache: None,
-            scratch: Scratch::new(),
         }
     }
 
@@ -92,15 +81,8 @@ impl Conv2d {
         );
         let (n, h, w) = (input.dims()[0], input.dims()[2], input.dims()[3]);
         let (oh, ow) = (self.geom.output_size(h), self.geom.output_size(w));
-        // an unconsumed cache (forward without backward) feeds its buffers
-        // back to the arena before they are re-taken below
-        if let Some(stale) = self.cache.take() {
-            self.scratch.give(stale.cols.into_vec());
-        }
-        let cols = im2col_scratch(input, &self.geom, &mut self.scratch)
-            .expect("input shape checked by caller");
-        let out_mat = matmul_scratch(&weight, &cols, &mut self.scratch)
-            .expect("weight/cols shapes agree by construction");
+        let cols = im2col(input, &self.geom).expect("input shape checked by caller");
+        let out_mat = matmul(&weight, &cols).expect("weight/cols shapes agree by construction");
         let out = rows_to_nchw(
             &out_mat,
             n,
@@ -109,7 +91,6 @@ impl Conv2d {
             ow,
             self.bias.value.data(),
         );
-        self.scratch.give(out_mat.into_vec());
         self.cache = Some(Cache {
             cols,
             input_dims: input.dims().to_vec(),
@@ -189,13 +170,11 @@ impl Conv2d {
         assert_eq!(o, self.geom.out_channels, "grad channel mismatch");
         let dy = nchw_to_rows(grad_output, n, o, oh, ow);
         // dW = dY · colsᵀ
-        let dw =
-            matmul_a_bt_scratch(&dy, &cache.cols, &mut self.scratch).expect("dy/cols shapes agree");
+        let dw = matmul_a_bt(&dy, &cache.cols).expect("dy/cols shapes agree");
         self.weight
             .grad
             .add_scaled(&dw, 1.0)
             .expect("gradient shape matches weight");
-        self.scratch.give(dw.into_vec());
         // db = row sums of dY
         let cols_per_row = dy.dims()[1];
         for oi in 0..o {
@@ -203,13 +182,8 @@ impl Conv2d {
             self.bias.grad.data_mut()[oi] += row.iter().sum::<f32>();
         }
         // dCols = Wᵀ · dY, with W the weights actually used forward
-        let dcols = matmul_at_b_scratch(&cache.used_weight, &dy, &mut self.scratch)
-            .expect("weight/dy shapes agree");
-        let dx = col2im(&dcols, &cache.input_dims, &self.geom).expect("cache dims are consistent");
-        self.scratch.give(dy.into_vec());
-        self.scratch.give(dcols.into_vec());
-        self.scratch.give(cache.cols.into_vec());
-        dx
+        let dcols = matmul_at_b(&cache.used_weight, &dy).expect("weight/dy shapes agree");
+        col2im(&dcols, &cache.input_dims, &self.geom).expect("cache dims are consistent")
     }
 }
 
@@ -454,16 +428,15 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_across_batches_is_bitwise_stable() {
-        // second forward/backward round runs on recycled (dirty) buffers
-        // and must produce exactly the same numbers as the cold round
+    fn repeated_forward_backward_is_bitwise_stable() {
+        // a second forward/backward round must produce exactly the same
+        // numbers as the first
         let mut r = rng(12);
         let mut conv = Conv2d::new(Conv2dGeom::new(2, 3, 3, 1, 1), &mut r);
         let x = init::uniform(&[2, 2, 6, 6], -1.0, 1.0, &mut r);
         let y1 = conv.forward(&x);
         let dy = Tensor::ones(y1.dims());
         let dx1 = conv.backward(&dy);
-        assert!(conv.scratch.pooled() > 0, "backward returned no buffers");
         let y2 = conv.forward(&x);
         let dx2 = conv.backward(&dy);
         assert_eq!(y1, y2);

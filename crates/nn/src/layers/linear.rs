@@ -1,13 +1,9 @@
-use adq_tensor::{init, matmul_a_bt_scratch, matmul_at_b_scratch, matmul_scratch, Scratch, Tensor};
+use adq_tensor::{init, matmul, matmul_a_bt, matmul_at_b, Tensor};
 use rand::Rng;
 
 use crate::param::Param;
 
 /// A fully connected layer: `y = x · Wᵀ + b` with `x: [N, in]`, `W: [out, in]`.
-///
-/// Like [`crate::Conv2d`], the layer owns a [`Scratch`] arena that recycles
-/// the cached input copy and GEMM workspace across batches; clones start
-/// with a cold arena.
 ///
 /// # Example
 ///
@@ -29,7 +25,6 @@ pub struct Linear {
     /// Bias, `[out]`.
     pub bias: Param,
     cache: Option<Cache>,
-    scratch: Scratch,
 }
 
 #[derive(Debug, Clone)]
@@ -48,7 +43,6 @@ impl Linear {
             weight: Param::new("linear.weight", weight),
             bias: Param::new("linear.bias", Tensor::zeros(&[out_features])),
             cache: None,
-            scratch: Scratch::new(),
         }
     }
 
@@ -77,11 +71,7 @@ impl Linear {
     pub fn forward_with_weight(&mut self, input: &Tensor, weight: Tensor) -> Tensor {
         assert_eq!(input.rank(), 2, "Linear expects [N, in] input");
         assert_eq!(input.dims()[1], self.in_features, "feature mismatch");
-        if let Some(stale) = self.cache.take() {
-            self.scratch.give(stale.input.into_vec());
-        }
-        let mut out =
-            matmul_a_bt_scratch(input, &weight, &mut self.scratch).expect("shapes checked above");
+        let mut out = matmul_a_bt(input, &weight).expect("shapes checked above");
         let n = out.dims()[0];
         let o = self.out_features;
         let bias = self.bias.value.data().to_vec();
@@ -91,13 +81,8 @@ impl Linear {
                 data[ni * o + oi] += b;
             }
         }
-        // cache the input in a recycled buffer rather than a fresh clone
-        let mut input_copy = self.scratch.take(input.len());
-        input_copy.copy_from_slice(input.data());
-        let input_cached =
-            Tensor::from_vec(input_copy, input.dims()).expect("copy keeps the input shape");
         self.cache = Some(Cache {
-            input: input_cached,
+            input: input.clone(),
             used_weight: weight,
         });
         out
@@ -135,14 +120,11 @@ impl Linear {
             .take()
             .expect("Linear::backward called without forward");
         // dW = dyᵀ · x
-        let dw = matmul_at_b_scratch(grad_output, &cache.input, &mut self.scratch)
-            .expect("shapes agree from forward");
+        let dw = matmul_at_b(grad_output, &cache.input).expect("shapes agree from forward");
         self.weight
             .grad
             .add_scaled(&dw, 1.0)
             .expect("weight grad shape");
-        self.scratch.give(dw.into_vec());
-        self.scratch.give(cache.input.into_vec());
         // db = column sums of dy
         let (n, o) = (grad_output.dims()[0], grad_output.dims()[1]);
         for ni in 0..n {
@@ -151,8 +133,7 @@ impl Linear {
             }
         }
         // dx = dy · W
-        matmul_scratch(grad_output, &cache.used_weight, &mut self.scratch)
-            .expect("shapes agree from forward")
+        matmul(grad_output, &cache.used_weight).expect("shapes agree from forward")
     }
 }
 
@@ -242,14 +223,13 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_across_batches_is_bitwise_stable() {
+    fn repeated_forward_backward_is_bitwise_stable() {
         let mut r = rng(7);
         let mut fc = Linear::new(5, 3, &mut r);
         let x = init::uniform(&[4, 5], -1.0, 1.0, &mut r);
         let y1 = fc.forward(&x);
         let dy = Tensor::ones(y1.dims());
         let dx1 = fc.backward(&dy);
-        assert!(fc.scratch.pooled() > 0, "backward returned no buffers");
         let y2 = fc.forward(&x);
         let dx2 = fc.backward(&dy);
         assert_eq!(y1, y2);

@@ -1,13 +1,12 @@
 //! Hardened environment-variable parsing for the `ADQ_*` tuning knobs.
 //!
-//! The knobs (`ADQ_PAR_FLOPS`, `ADQ_AUTOTUNE`, ...) are read once at
-//! startup and silently falling back on a typo would leave a run tuned
-//! differently than the operator believes. Every parse failure therefore
-//! produces a **typed** [`EnvParseIssue`], is logged to stderr exactly
-//! once per variable, counted in the process-wide
-//! `telemetry.env.invalid` metric, and then falls back to the caller's
-//! default — an invalid value never aborts a run and never silently
-//! changes behaviour.
+//! The knobs (today only `ADQ_PAR_FLOPS`) are read once at startup, and
+//! silently falling back on a typo would leave a run tuned differently
+//! than the operator believes. Every parse failure therefore produces
+//! a **typed** [`EnvParseIssue`], is logged to stderr exactly once per
+//! variable, counted in the process-wide `telemetry.env.invalid` metric,
+//! and then falls back to the caller's default — an invalid value never
+//! aborts a run and never silently changes behaviour.
 
 use std::fmt;
 
@@ -17,7 +16,7 @@ use std::fmt;
 pub enum EnvParseIssue {
     /// The variable is set but empty (or whitespace only).
     Empty,
-    /// The value is not a number (or not a recognised boolean).
+    /// The value is not a number.
     Invalid(String),
     /// The value is a well-formed number too large for the target type.
     Overflow(String),
@@ -57,24 +56,6 @@ pub fn parse_usize(raw: &str) -> Result<usize, EnvParseIssue> {
     }
 }
 
-/// Parses a boolean knob: `1`/`true`/`on`/`yes` enable, `0`/`false`/
-/// `off`/`no` disable (ASCII case-insensitive).
-///
-/// # Errors
-///
-/// Returns the typed [`EnvParseIssue`] describing why `raw` is unusable.
-pub fn parse_bool(raw: &str) -> Result<bool, EnvParseIssue> {
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Err(EnvParseIssue::Empty);
-    }
-    match trimmed.to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Ok(true),
-        "0" | "false" | "off" | "no" => Ok(false),
-        _ => Err(EnvParseIssue::Invalid(trimmed.to_string())),
-    }
-}
-
 /// Logs one warning for an unusable variable and counts it in
 /// `telemetry.env.invalid`. Callers cache the parse result in a
 /// `OnceLock`, so each variable warns at most once per process.
@@ -94,21 +75,6 @@ pub fn usize_var(name: &str) -> Option<usize> {
         Err(issue) => {
             warn_invalid(name, &issue, "the default");
             None
-        }
-    }
-}
-
-/// Reads `name` as a boolean knob, warning and returning `default` when
-/// the value is set but unusable.
-pub fn bool_var(name: &str, default: bool) -> bool {
-    let Ok(raw) = std::env::var(name) else {
-        return default;
-    };
-    match parse_bool(&raw) {
-        Ok(v) => v,
-        Err(issue) => {
-            warn_invalid(name, &issue, if default { "true" } else { "false" });
-            default
         }
     }
 }
@@ -150,25 +116,6 @@ mod tests {
     fn oversized_usize_is_typed_overflow() {
         let huge = "9".repeat(40);
         assert_eq!(parse_usize(&huge), Err(EnvParseIssue::Overflow(huge)));
-    }
-
-    #[test]
-    fn bool_accepts_the_documented_spellings() {
-        for raw in ["1", "true", "TRUE", "on", "yes"] {
-            assert_eq!(parse_bool(raw), Ok(true), "{raw}");
-        }
-        for raw in ["0", "false", "Off", "no"] {
-            assert_eq!(parse_bool(raw), Ok(false), "{raw}");
-        }
-    }
-
-    #[test]
-    fn bool_garbage_and_empty_are_typed() {
-        assert_eq!(parse_bool(""), Err(EnvParseIssue::Empty));
-        assert_eq!(
-            parse_bool("enable"),
-            Err(EnvParseIssue::Invalid("enable".to_string()))
-        );
     }
 
     #[test]

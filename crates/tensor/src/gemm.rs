@@ -26,7 +26,6 @@
 //! checkpoint resume — is preserved.
 
 use crate::plan::Blocking;
-use crate::scratch::Scratch;
 use crate::shape::ShapeError;
 use crate::tensor::Tensor;
 use adq_telemetry::span::{self, SpanGuard};
@@ -83,21 +82,10 @@ struct CPtr(*mut f32);
 unsafe impl Send for CPtr {}
 unsafe impl Sync for CPtr {}
 
-/// Blocked GEMM over raw row-major buffers, returning the output drawn
-/// from `scratch`.
+/// Blocked GEMM over raw row-major buffers, returning a freshly
+/// allocated `m·n` output.
 ///
-/// Every element of the returned `m·n` buffer is written (no pre-zeroing
-/// happens or is needed). Pack panels are drawn from `scratch` and
-/// returned to it, so repeated calls through one arena stop allocating.
-///
-/// **Take order matters**: the pack panels are taken *before* the output
-/// buffer. The output escapes into a `Tensor` and never comes back, so
-/// if it were taken first it would steal a pooled pack panel (best-fit
-/// hands the smallest covering buffer to whoever asks first), cascading
-/// into a fresh zeroed allocation of the *largest* panel on every call —
-/// the PR-3 `blocked_scratch` conv regression. Panels first means both
-/// panels exact-hit their own buffers from the previous call and the one
-/// unavoidable fresh allocation per call is the `m·n` output.
+/// The pack panels are allocated per call and dropped on return.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_alloc(
     m: usize,
@@ -108,21 +96,15 @@ pub(crate) fn gemm_alloc(
     b: &[f32],
     b_store: BStore,
     blocking: Blocking,
-    scratch: &mut Scratch,
 ) -> Vec<f32> {
     debug_assert!(blocking.is_valid(), "invalid blocking {blocking:?}");
-    if m == 0 || n == 0 {
-        return scratch.take(m * n);
-    }
-    if k == 0 {
-        return scratch.take_zeroed(m * n);
+    let mut c = vec![0.0f32; m * n];
+    if m == 0 || n == 0 || k == 0 {
+        return c;
     }
     let kc = blocking.kc;
-    let m_strips = m.div_ceil(MR);
-    let n_strips = n.div_ceil(NR);
-    let mut packed_a = scratch.take(k * m_strips * MR);
-    let mut packed_b = scratch.take(k * n_strips * NR);
-    let mut c = scratch.take(m * n);
+    let mut packed_a = vec![0.0f32; k * m.div_ceil(MR) * MR];
+    let mut packed_b = vec![0.0f32; k * n.div_ceil(NR) * NR];
     pack_a(a, m, k, kc, a_store, &mut packed_a);
     pack_b(b, k, n, kc, b_store, &mut packed_b);
 
@@ -187,8 +169,6 @@ pub(crate) fn gemm_alloc(
             );
         }
     }
-    scratch.give(packed_a);
-    scratch.give(packed_b);
     c
 }
 
@@ -452,7 +432,7 @@ fn pack_b(src: &[f32], k: usize, n: usize, kc: usize, store: BStore, out: &mut [
 ///
 /// Returns [`ShapeError`] if either input is not rank-2 or the inner
 /// dimensions disagree.
-pub fn gemm_nn(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, ShapeError> {
+pub fn gemm_nn(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
     rank2(a, b, "gemm_nn")?;
     let (m, k) = (a.dims()[0], a.dims()[1]);
     let (kb, n) = (b.dims()[0], b.dims()[1]);
@@ -468,7 +448,6 @@ pub fn gemm_nn(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, 
         b.data(),
         BStore::Normal,
         Blocking::default_tiles(),
-        scratch,
     );
     Tensor::from_vec(out, &[m, n])
 }
@@ -479,7 +458,7 @@ pub fn gemm_nn(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, 
 ///
 /// Returns [`ShapeError`] if either input is not rank-2 or the shared
 /// dimension disagrees.
-pub fn gemm_tn(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, ShapeError> {
+pub fn gemm_tn(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
     rank2(a, b, "gemm_tn")?;
     let (k, m) = (a.dims()[0], a.dims()[1]);
     let (kb, n) = (b.dims()[0], b.dims()[1]);
@@ -495,7 +474,6 @@ pub fn gemm_tn(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, 
         b.data(),
         BStore::Normal,
         Blocking::default_tiles(),
-        scratch,
     );
     Tensor::from_vec(out, &[m, n])
 }
@@ -506,7 +484,7 @@ pub fn gemm_tn(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, 
 ///
 /// Returns [`ShapeError`] if either input is not rank-2 or the shared
 /// dimension disagrees.
-pub fn gemm_nt(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, ShapeError> {
+pub fn gemm_nt(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
     rank2(a, b, "gemm_nt")?;
     let (m, k) = (a.dims()[0], a.dims()[1]);
     let (n, kb) = (b.dims()[0], b.dims()[1]);
@@ -522,7 +500,6 @@ pub fn gemm_nt(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, 
         b.data(),
         BStore::Transposed,
         Blocking::default_tiles(),
-        scratch,
     );
     Tensor::from_vec(out, &[m, n])
 }
@@ -579,7 +556,6 @@ mod tests {
     #[test]
     fn blocked_matches_reference_bitwise_across_edges() {
         // dimensions straddling MR/NR/KC strip edges, including primes
-        let mut scratch = Scratch::new();
         for (m, k, n) in [
             (1, 1, 1),
             (3, 5, 7),
@@ -590,15 +566,15 @@ mod tests {
         ] {
             let a = random_tensor(&[m, k], (m * 1000 + k) as u64);
             let b = random_tensor(&[k, n], (k * 1000 + n) as u64);
-            let got = gemm_nn(&a, &b, &mut scratch).unwrap();
+            let got = gemm_nn(&a, &b).unwrap();
             assert_eq!(got, reference(&a, &b, false, false), "nn {m}x{k}x{n}");
 
             let at = random_tensor(&[k, m], (m + k) as u64);
-            let got = gemm_tn(&at, &b, &mut scratch).unwrap();
+            let got = gemm_tn(&at, &b).unwrap();
             assert_eq!(got, reference(&at, &b, true, false), "tn {m}x{k}x{n}");
 
             let bt = random_tensor(&[n, k], (n + k) as u64);
-            let got = gemm_nt(&a, &bt, &mut scratch).unwrap();
+            let got = gemm_nt(&a, &bt).unwrap();
             assert_eq!(got, reference(&a, &bt, false, true), "nt {m}x{k}x{n}");
         }
     }
@@ -609,69 +585,24 @@ mod tests {
         let (m, k, n) = (150, 200, 150);
         let a = random_tensor(&[m, k], 21);
         let b = random_tensor(&[k, n], 22);
-        let mut scratch = Scratch::new();
-        let got = gemm_nn(&a, &b, &mut scratch).unwrap();
+        let got = gemm_nn(&a, &b).unwrap();
         assert_eq!(got, reference(&a, &b, false, false));
     }
 
     #[test]
-    fn scratch_reuse_with_dirty_buffers_is_equal() {
-        let a = random_tensor(&[37, 53], 31);
-        let b = random_tensor(&[53, 29], 32);
-        let mut scratch = Scratch::new();
-        let first = gemm_nn(&a, &b, &mut scratch).unwrap();
-        // pollute the pool: buffers full of garbage must not leak through
-        let mut junk = scratch.take(37 * 53 * 4);
-        junk.fill(f32::NAN);
-        scratch.give(junk);
-        let second = gemm_nn(&a, &b, &mut scratch).unwrap();
-        assert_eq!(first, second);
-    }
-
-    #[test]
     fn zero_dimensions_are_handled() {
-        let mut scratch = Scratch::new();
-        let c = gemm_nn(
-            &Tensor::zeros(&[0, 3]),
-            &Tensor::zeros(&[3, 2]),
-            &mut scratch,
-        )
-        .unwrap();
+        let c = gemm_nn(&Tensor::zeros(&[0, 3]), &Tensor::zeros(&[3, 2])).unwrap();
         assert_eq!(c.dims(), &[0, 2]);
-        // k == 0: the product is all zeros, even with a dirty pool
-        let mut junk = scratch.take(8);
-        junk.fill(9.0);
-        scratch.give(junk);
-        let c = gemm_nn(
-            &Tensor::zeros(&[2, 0]),
-            &Tensor::zeros(&[0, 4]),
-            &mut scratch,
-        )
-        .unwrap();
+        // k == 0: the product is all zeros
+        let c = gemm_nn(&Tensor::zeros(&[2, 0]), &Tensor::zeros(&[0, 4])).unwrap();
         assert!(c.data().iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn shape_errors_propagate() {
-        let mut scratch = Scratch::new();
-        assert!(gemm_nn(
-            &Tensor::zeros(&[2, 3]),
-            &Tensor::zeros(&[4, 2]),
-            &mut scratch
-        )
-        .is_err());
-        assert!(gemm_tn(
-            &Tensor::zeros(&[3, 2]),
-            &Tensor::zeros(&[4, 2]),
-            &mut scratch
-        )
-        .is_err());
-        assert!(gemm_nt(
-            &Tensor::zeros(&[3, 2]),
-            &Tensor::zeros(&[4, 3]),
-            &mut scratch
-        )
-        .is_err());
-        assert!(gemm_nn(&Tensor::zeros(&[6]), &Tensor::zeros(&[6, 2]), &mut scratch).is_err());
+        assert!(gemm_nn(&Tensor::zeros(&[2, 3]), &Tensor::zeros(&[4, 2])).is_err());
+        assert!(gemm_tn(&Tensor::zeros(&[3, 2]), &Tensor::zeros(&[4, 2])).is_err());
+        assert!(gemm_nt(&Tensor::zeros(&[3, 2]), &Tensor::zeros(&[4, 3])).is_err());
+        assert!(gemm_nn(&Tensor::zeros(&[6]), &Tensor::zeros(&[6, 2])).is_err());
     }
 }

@@ -5,7 +5,6 @@ use adq_telemetry::span::{self, SpanGuard};
 use adq_telemetry::{Histogram, ScopedTimer};
 use serde::{Deserialize, Serialize};
 
-use crate::scratch::Scratch;
 use crate::shape::ShapeError;
 use crate::tensor::Tensor;
 
@@ -155,20 +154,6 @@ fn in_bounds_run(
 /// Returns [`ShapeError`] if `input` is not rank-4 or its channel count does
 /// not match `geom`.
 pub fn im2col(input: &Tensor, geom: &Conv2dGeom) -> Result<Tensor, ShapeError> {
-    im2col_scratch(input, geom, &mut Scratch::new())
-}
-
-/// [`im2col`] drawing the column buffer from `scratch`, so the dominant
-/// allocation of a conv forward pass is recycled across batches.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] under the same conditions as [`im2col`].
-pub fn im2col_scratch(
-    input: &Tensor,
-    geom: &Conv2dGeom,
-    scratch: &mut Scratch,
-) -> Result<Tensor, ShapeError> {
     if input.rank() != 4 || input.dims()[1] != geom.in_channels {
         return Err(ShapeError::new(format!(
             "im2col: expected [N, {}, H, W] input, got {:?}",
@@ -192,7 +177,7 @@ pub fn im2col_scratch(
     let cols = n * oh * ow;
     let _span = im2col_span("tensor.im2col", rows, cols);
     count_lowering_resources(rows, cols);
-    let mut out = scratch.take_zeroed(rows * cols);
+    let mut out = vec![0.0f32; rows * cols];
     let data = input.data();
     for ci in 0..c {
         for kh in 0..p {
@@ -396,20 +381,6 @@ mod tests {
             let embedded = im2col(&embed_padded(&input, pad), &unpadded_geom).unwrap();
             assert_eq!(direct, embedded, "stride {stride}, padding {pad}");
         }
-    }
-
-    #[test]
-    fn scratch_reuse_with_dirty_buffer_is_equal() {
-        let input =
-            Tensor::from_vec((0..64).map(|v| v as f32 * 0.5).collect(), &[1, 1, 8, 8]).unwrap();
-        let g = Conv2dGeom::new(1, 1, 3, 1, 1);
-        let mut scratch = Scratch::new();
-        let first = im2col_scratch(&input, &g, &mut scratch).unwrap();
-        let mut junk = scratch.take(first.len() * 2);
-        junk.fill(f32::NAN);
-        scratch.give(junk);
-        let second = im2col_scratch(&input, &g, &mut scratch).unwrap();
-        assert_eq!(first, second);
     }
 
     #[test]

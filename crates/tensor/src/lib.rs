@@ -9,8 +9,6 @@
 //!   shape-checked constructors and NCHW convenience accessors,
 //! * [`matmul`] — a matrix multiply that routes large products through a
 //!   cache-blocked, panel-packed GEMM kernel (the training hot loop),
-//! * [`Scratch`] — a workspace arena recycling hot-path buffers (im2col
-//!   columns, GEMM panels, outputs) across batches,
 //! * [`im2col`]/[`col2im`] — lowering of 2-D convolutions to matrix
 //!   multiplies and the matching gradient scatter,
 //! * [`init`] — deterministic, seedable weight initialisers.
@@ -33,7 +31,6 @@ mod gemm;
 mod im2col;
 mod matmul;
 mod ops;
-mod scratch;
 mod shape;
 mod simd;
 mod tensor;
@@ -43,11 +40,9 @@ pub mod init;
 pub mod plan;
 
 pub use gemm::{gemm_nn, gemm_nt, gemm_tn, KC, MC, MR, NC, NR};
-pub use im2col::{col2im, im2col, im2col_scratch, Conv2dGeom};
+pub use im2col::{col2im, im2col, Conv2dGeom};
 pub use matmul::{
-    matmul, matmul_a_bt, matmul_a_bt_naive, matmul_a_bt_scratch, matmul_at_b, matmul_at_b_naive,
-    matmul_at_b_scratch, matmul_naive, matmul_scratch,
+    matmul, matmul_a_bt, matmul_a_bt_naive, matmul_at_b, matmul_at_b_naive, matmul_naive,
 };
-pub use scratch::{with_thread_scratch, Scratch};
 pub use shape::ShapeError;
 pub use tensor::Tensor;

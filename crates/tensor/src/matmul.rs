@@ -6,22 +6,15 @@
 //! packing cannot pay for itself, or the cache-blocked packed kernel in
 //! [`crate::gemm`] with either the default or a shape-tuned blocking.
 //! The chosen plan is surfaced through the `tensor.dispatch.plan` span
-//! attribute and the `tensor.dispatch.plan.*` counters, and with
-//! `ADQ_AUTOTUNE=1` the static heuristic is replaced by a one-shot
-//! bench of every candidate on the first call per shape (see
-//! [`crate::plan`] for the caching rules).
+//! attribute and the `tensor.dispatch.plan.*` counters.
 //!
 //! Plan choice never changes results: every kernel accumulates each
 //! output element in the same strictly ascending-k order (the numerical
 //! contract in [`crate::gemm`]), so dispatch is purely a performance
 //! decision.
 //!
-//! The `*_scratch` variants draw their output and pack buffers from a
-//! caller-owned [`Scratch`] arena so per-batch allocations disappear
-//! from the training loop; the plain variants draw from the calling
-//! thread's arena in the process-wide thread-keyed pool
-//! ([`crate::scratch::with_thread_scratch`]), so their pack panels are
-//! recycled across calls too.
+//! Every call allocates its output (and, on a blocked plan, its pack
+//! panels) as plain `Vec`s.
 //!
 //! The pre-blocking kernels remain available as `matmul_naive` /
 //! `matmul_at_b_naive` / `matmul_a_bt_naive` — they are the comparison
@@ -29,7 +22,6 @@
 //! for the dispatch-boundary proptests.
 
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 use adq_telemetry::alloc;
 use adq_telemetry::span::{self, SpanGuard};
@@ -38,7 +30,6 @@ use rayon::prelude::*;
 
 use crate::gemm::{self, AStore, BStore};
 use crate::plan::{self, KernelPlan, Variant};
-use crate::scratch::Scratch;
 use crate::shape::ShapeError;
 use crate::tensor::Tensor;
 
@@ -135,63 +126,35 @@ fn matmul_span(op: &GemmOp, chosen: &KernelPlan) -> SpanGuard {
     }
 }
 
-/// Runs one plan on raw operands, drawing every buffer from `scratch`.
-/// The returned buffer is the `m·n` output, row-major.
-fn execute_plan(chosen: &KernelPlan, op: &GemmOp, scratch: &mut Scratch) -> Vec<f32> {
+/// Runs one plan on raw operands, returning the `m·n` output,
+/// row-major.
+fn execute_plan(chosen: &KernelPlan, op: &GemmOp) -> Vec<f32> {
     let GemmOp { m, n, k, a, b, .. } = *op;
     if let Some(blocking) = chosen.blocking() {
-        return gemm::gemm_alloc(m, n, k, a, op.a_store, b, op.b_store, blocking, scratch);
+        return gemm::gemm_alloc(m, n, k, a, op.a_store, b, op.b_store, blocking);
     }
+    let mut out = vec![0.0f32; m * n];
     match (op.a_store, op.b_store) {
-        (AStore::Normal, BStore::Normal) => {
-            let mut out = scratch.take_zeroed(m * n);
-            nn_fallback(m, n, k, a, b, &mut out);
-            out
-        }
-        (AStore::Transposed, BStore::Normal) => {
-            let mut out = scratch.take_zeroed(m * n);
-            tn_fallback(m, n, k, a, b, &mut out);
-            out
-        }
-        (AStore::Normal, BStore::Transposed) => {
-            let mut out = scratch.take(m * n);
-            nt_fallback(m, n, k, a, b, &mut out);
-            out
-        }
+        (AStore::Normal, BStore::Normal) => nn_fallback(m, n, k, a, b, &mut out),
+        (AStore::Transposed, BStore::Normal) => tn_fallback(m, n, k, a, b, &mut out),
+        (AStore::Normal, BStore::Transposed) => nt_fallback(m, n, k, a, b, &mut out),
         (AStore::Transposed, BStore::Transposed) => {
             unreachable!("no matmul entry point produces a TT product")
         }
     }
+    out
 }
 
-/// Picks the plan for a shape: the static heuristic, or — when
-/// `ADQ_AUTOTUNE=1` — the cached autotune winner, timing each candidate
-/// on the live operands (one warm-up run, one timed run) at first sight
-/// of the shape.
-fn select_plan(op: &GemmOp, scratch: &mut Scratch) -> KernelPlan {
-    if !plan::autotune_enabled() || op.m == 0 || op.n == 0 || op.k == 0 {
-        return plan::static_plan(op.variant, op.m, op.n, op.k);
-    }
-    plan::autotuned(op.variant, op.m, op.n, op.k, |candidate| {
-        let out = execute_plan(candidate, op, scratch);
-        scratch.give(out);
-        let start = Instant::now();
-        let out = execute_plan(candidate, op, scratch);
-        let elapsed = start.elapsed();
-        scratch.give(out);
-        elapsed
-    })
-}
-
-/// The shared driver behind all three dispatched variants: time, count,
-/// plan, trace, execute.
-fn dispatch_matmul(op: &GemmOp, scratch: &mut Scratch) -> Vec<f32> {
+/// The shared driver behind all three dispatched variants: time, plan,
+/// trace, count, execute. The span opens before the resource counters
+/// are bumped, so its `flops`/`bytes_moved` attributes see this call.
+fn dispatch_matmul(op: &GemmOp) -> Vec<f32> {
     let _timer = matmul_timer();
-    count_gemm_resources(op.m, op.n, op.k);
-    let chosen = select_plan(op, scratch);
+    let chosen = plan::static_plan(op.variant, op.m, op.n, op.k);
     let _span = matmul_span(op, &chosen);
+    count_gemm_resources(op.m, op.n, op.k);
     count_plan(&chosen);
-    execute_plan(&chosen, op, scratch)
+    execute_plan(&chosen, op)
 }
 
 /// Dense matrix product `C = A · B` for rank-2 tensors.
@@ -221,34 +184,22 @@ fn dispatch_matmul(op: &GemmOp, scratch: &mut Scratch) -> Vec<f32> {
 /// # }
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
-    crate::scratch::with_thread_scratch(|scratch| matmul_scratch(a, b, scratch))
-}
-
-/// [`matmul`] drawing its output and pack buffers from `scratch`.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] under the same conditions as [`matmul`].
-pub fn matmul_scratch(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<Tensor, ShapeError> {
     check_rank2("matmul", a, b)?;
     let (m, k) = (a.dims()[0], a.dims()[1]);
     let (kb, n) = (b.dims()[0], b.dims()[1]);
     if k != kb {
         return Err(ShapeError::mismatch("matmul", a.dims(), b.dims()));
     }
-    let out = dispatch_matmul(
-        &GemmOp {
-            variant: Variant::NN,
-            m,
-            n,
-            k,
-            a: a.data(),
-            a_store: AStore::Normal,
-            b: b.data(),
-            b_store: BStore::Normal,
-        },
-        scratch,
-    );
+    let out = dispatch_matmul(&GemmOp {
+        variant: Variant::NN,
+        m,
+        n,
+        k,
+        a: a.data(),
+        a_store: AStore::Normal,
+        b: b.data(),
+        b_store: BStore::Normal,
+    });
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -261,38 +212,22 @@ pub fn matmul_scratch(a: &Tensor, b: &Tensor, scratch: &mut Scratch) -> Result<T
 /// Returns [`ShapeError`] if either input is not rank-2 or the shared
 /// dimension disagrees.
 pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
-    crate::scratch::with_thread_scratch(|scratch| matmul_at_b_scratch(a, b, scratch))
-}
-
-/// [`matmul_at_b`] drawing its output and pack buffers from `scratch`.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] under the same conditions as [`matmul_at_b`].
-pub fn matmul_at_b_scratch(
-    a: &Tensor,
-    b: &Tensor,
-    scratch: &mut Scratch,
-) -> Result<Tensor, ShapeError> {
     check_rank2("matmul_at_b", a, b)?;
     let (k, m) = (a.dims()[0], a.dims()[1]);
     let (kb, n) = (b.dims()[0], b.dims()[1]);
     if k != kb {
         return Err(ShapeError::mismatch("matmul_at_b", a.dims(), b.dims()));
     }
-    let out = dispatch_matmul(
-        &GemmOp {
-            variant: Variant::TN,
-            m,
-            n,
-            k,
-            a: a.data(),
-            a_store: AStore::Transposed,
-            b: b.data(),
-            b_store: BStore::Normal,
-        },
-        scratch,
-    );
+    let out = dispatch_matmul(&GemmOp {
+        variant: Variant::TN,
+        m,
+        n,
+        k,
+        a: a.data(),
+        a_store: AStore::Transposed,
+        b: b.data(),
+        b_store: BStore::Normal,
+    });
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -305,38 +240,22 @@ pub fn matmul_at_b_scratch(
 /// Returns [`ShapeError`] if either input is not rank-2 or the shared
 /// dimension disagrees.
 pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
-    crate::scratch::with_thread_scratch(|scratch| matmul_a_bt_scratch(a, b, scratch))
-}
-
-/// [`matmul_a_bt`] drawing its output and pack buffers from `scratch`.
-///
-/// # Errors
-///
-/// Returns [`ShapeError`] under the same conditions as [`matmul_a_bt`].
-pub fn matmul_a_bt_scratch(
-    a: &Tensor,
-    b: &Tensor,
-    scratch: &mut Scratch,
-) -> Result<Tensor, ShapeError> {
     check_rank2("matmul_a_bt", a, b)?;
     let (m, k) = (a.dims()[0], a.dims()[1]);
     let (n, kb) = (b.dims()[0], b.dims()[1]);
     if k != kb {
         return Err(ShapeError::mismatch("matmul_a_bt", a.dims(), b.dims()));
     }
-    let out = dispatch_matmul(
-        &GemmOp {
-            variant: Variant::NT,
-            m,
-            n,
-            k,
-            a: a.data(),
-            a_store: AStore::Normal,
-            b: b.data(),
-            b_store: BStore::Transposed,
-        },
-        scratch,
-    );
+    let out = dispatch_matmul(&GemmOp {
+        variant: Variant::NT,
+        m,
+        n,
+        k,
+        a: a.data(),
+        a_store: AStore::Normal,
+        b: b.data(),
+        b_store: BStore::Transposed,
+    });
     Tensor::from_vec(out, &[m, n])
 }
 
@@ -663,7 +582,6 @@ mod tests {
         assert_eq!(static_plan(Variant::NN, m, n, k).label(), "naive");
         let a = random_tensor(&[m, k], 301);
         let b = random_tensor(&[k, n], 302);
-        let mut scratch = Scratch::new();
         for chosen in [
             KernelPlan::Blocked(crate::plan::Blocking::default_tiles()),
             KernelPlan::BlockedTuned(crate::plan::Blocking {
@@ -683,74 +601,12 @@ mod tests {
                     b: b.data(),
                     b_store: BStore::Normal,
                 },
-                &mut scratch,
             );
             let expected = matmul_naive(&a, &b).unwrap();
             for (x, y) in out.iter().zip(expected.data()) {
                 assert!((x - y).abs() <= 1e-4, "{chosen:?}: {x} vs {y}");
             }
-            scratch.give(out);
         }
-    }
-
-    #[test]
-    fn warm_scratch_blocked_matmul_allocates_only_the_escaping_output() {
-        // the conv blocked_scratch regression: the output buffer was
-        // taken from the arena *before* the pack panels, so best-fit
-        // handed the output a pooled pack panel and every warm call
-        // cascaded into a fresh allocation of the largest panel. With
-        // panels taken first, a warm call's only fresh allocation is the
-        // m·n output that escapes to the caller as a Tensor.
-        if plan::autotune_enabled() {
-            // the autotune bench runs extra candidates through the arena,
-            // so the exact alloc accounting below only holds for the
-            // static plan this test is about
-            return;
-        }
-        let (m, k, n) = (64usize, 512usize, 64usize); // conv-like: panels > output
-        assert!(
-            static_plan(Variant::NN, m, n, k).blocking().is_some(),
-            "the test shape must route to a packed-kernel plan"
-        );
-        let a = random_tensor(&[m, k], 401);
-        let b = random_tensor(&[k, n], 402);
-        let mut scratch = Scratch::new();
-        let _ = matmul_scratch(&a, &b, &mut scratch).unwrap(); // cold call warms the pool
-        let warm = scratch.fresh_allocs();
-        for _ in 0..3 {
-            let _ = matmul_scratch(&a, &b, &mut scratch).unwrap();
-        }
-        assert_eq!(
-            scratch.fresh_allocs() - warm,
-            3,
-            "a warm blocked matmul_scratch call must allocate exactly once (the escaping output)"
-        );
-    }
-
-    #[test]
-    fn scratch_variants_match_plain_variants() {
-        let mut scratch = Scratch::new();
-        let a = random_tensor(&[12, 9], 55);
-        let b = random_tensor(&[9, 14], 56);
-        assert_eq!(
-            matmul_scratch(&a, &b, &mut scratch).unwrap(),
-            matmul(&a, &b).unwrap()
-        );
-        let at = random_tensor(&[9, 12], 57);
-        assert_eq!(
-            matmul_at_b_scratch(&at, &b, &mut scratch).unwrap(),
-            matmul_at_b(&at, &b).unwrap()
-        );
-        let bt = random_tensor(&[14, 9], 58);
-        assert_eq!(
-            matmul_a_bt_scratch(&a, &bt, &mut scratch).unwrap(),
-            matmul_a_bt(&a, &bt).unwrap()
-        );
-        // a second pass through the (now warm) arena must be identical
-        assert_eq!(
-            matmul_scratch(&a, &b, &mut scratch).unwrap(),
-            matmul(&a, &b).unwrap()
-        );
     }
 
     #[test]

@@ -31,16 +31,8 @@
 //! checkpoint resume, thread-count invariance) is preserved no matter
 //! which plan wins.
 //!
-//! Setting `ADQ_AUTOTUNE=1` additionally enables a one-shot autotune
-//! pass: the first time a shape is seen, every candidate plan is timed
-//! on the live operands and the winner is cached in a process-level
-//! table (`tensor.dispatch.autotune.benched` / `.cache_hits` count the
-//! activity). The cache makes the choice deterministic for the rest of
-//! the process even though the timings themselves are noisy.
-
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
-use std::time::Duration;
+//! The plan is a function of the shape alone: no timing, no cache, no
+//! environment knob.
 
 use crate::gemm::{KC, MC, MR, NC, NR};
 
@@ -93,7 +85,7 @@ pub enum Variant {
 }
 
 impl Variant {
-    /// Short label used in span attributes and autotune logs.
+    /// Short label used in span attributes and dispatch counters.
     pub fn label(self) -> &'static str {
         match self {
             Variant::NN => "nn",
@@ -227,98 +219,6 @@ pub fn static_plan(_variant: Variant, m: usize, n: usize, k: usize) -> KernelPla
     }
 }
 
-/// Candidate plans the autotune pass races for a shape: the static
-/// choice always competes, plus every distinct alternative.
-pub fn candidates(variant: Variant, m: usize, n: usize, k: usize) -> Vec<KernelPlan> {
-    let mut plans = vec![KernelPlan::Naive];
-    // Blocked candidates only make sense where the packed kernel can
-    // form at least one register tile.
-    if m >= MR && n >= NR && k > 0 {
-        plans.push(KernelPlan::Blocked(Blocking::default_tiles()));
-        if let Some(b) = tuned_blocking(m, n, k) {
-            plans.push(KernelPlan::BlockedTuned(b));
-        }
-    }
-    let static_choice = static_plan(variant, m, n, k);
-    if !plans.contains(&static_choice) {
-        plans.push(static_choice);
-    }
-    plans
-}
-
-/// Whether the one-shot autotune pass is enabled (`ADQ_AUTOTUNE`,
-/// parsed once through the hardened [`adq_telemetry::env`] reader:
-/// invalid values warn and fall back to off).
-pub fn autotune_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| adq_telemetry::env::bool_var("ADQ_AUTOTUNE", false))
-}
-
-/// Autotune-table key: the transpose variant plus the exact shape.
-type PlanKey = (Variant, usize, usize, usize);
-
-/// Process-level table of autotuned plans, keyed by exact shape and
-/// transpose variant.
-fn cache() -> &'static Mutex<HashMap<PlanKey, KernelPlan>> {
-    static CACHE: OnceLock<Mutex<HashMap<PlanKey, KernelPlan>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Number of shapes currently in the autotune table (for tests and the
-/// `adq-report` run analyzer).
-pub fn autotune_cache_len() -> usize {
-    cache().lock().expect("autotune cache poisoned").len()
-}
-
-/// The autotuned plan for a shape: cached winner if present, otherwise
-/// every candidate is timed via `bench` (warm-up + timed run each, on
-/// the caller's live operands) and the fastest is cached and returned.
-///
-/// The first insert wins: once a shape is in the table its plan never
-/// changes for the lifetime of the process, so dispatch is deterministic
-/// per process even though the timings are not.
-pub fn autotuned(
-    variant: Variant,
-    m: usize,
-    n: usize,
-    k: usize,
-    mut bench: impl FnMut(&KernelPlan) -> Duration,
-) -> KernelPlan {
-    let key = (variant, m, n, k);
-    if let Some(plan) = cache().lock().expect("autotune cache poisoned").get(&key) {
-        autotune_hits().inc();
-        return *plan;
-    }
-    let mut best: Option<(Duration, KernelPlan)> = None;
-    for plan in candidates(variant, m, n, k) {
-        let elapsed = bench(&plan);
-        autotune_benched().inc();
-        if best.is_none_or(|(t, _)| elapsed < t) {
-            best = Some((elapsed, plan));
-        }
-    }
-    let winner = best.expect("candidates is never empty").1;
-    *cache()
-        .lock()
-        .expect("autotune cache poisoned")
-        .entry(key)
-        .or_insert(winner)
-}
-
-fn autotune_hits() -> &'static std::sync::Arc<adq_telemetry::Counter> {
-    static HITS: OnceLock<std::sync::Arc<adq_telemetry::Counter>> = OnceLock::new();
-    HITS.get_or_init(|| {
-        adq_telemetry::metrics::global().counter("tensor.dispatch.autotune.cache_hits")
-    })
-}
-
-fn autotune_benched() -> &'static std::sync::Arc<adq_telemetry::Counter> {
-    static BENCHED: OnceLock<std::sync::Arc<adq_telemetry::Counter>> = OnceLock::new();
-    BENCHED.get_or_init(|| {
-        adq_telemetry::metrics::global().counter("tensor.dispatch.autotune.benched")
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,54 +310,6 @@ mod tests {
             static_plan(Variant::NN, TUNED_MAX_M + 1, 2048, 4096),
             KernelPlan::Blocked(Blocking::default_tiles())
         );
-    }
-
-    #[test]
-    fn candidates_cover_all_three_kernels_and_include_the_static_choice() {
-        let c = candidates(Variant::NN, 32, 2048, 4096);
-        assert!(c.contains(&KernelPlan::Naive));
-        assert!(c.contains(&KernelPlan::Blocked(Blocking::default_tiles())));
-        assert!(c.iter().any(|p| matches!(p, KernelPlan::BlockedTuned(_))));
-        let static_choice = static_plan(Variant::NN, 32, 2048, 4096);
-        assert!(c.contains(&static_choice));
-        // thinner than a register tile: only naive competes
-        assert_eq!(
-            candidates(Variant::NN, 2, 4096, 4096),
-            vec![KernelPlan::Naive]
-        );
-    }
-
-    #[test]
-    fn autotune_cache_is_deterministic_per_process() {
-        // unique shape so parallel tests cannot collide on the key
-        let (m, n, k) = (19, 4099, 257);
-        let mut benches = 0usize;
-        // fake bencher: tuned < blocked < naive
-        let timing = |plan: &KernelPlan| match plan {
-            KernelPlan::Naive => Duration::from_micros(300),
-            KernelPlan::Blocked(_) => Duration::from_micros(200),
-            KernelPlan::BlockedTuned(_) => Duration::from_micros(100),
-        };
-        let first = autotuned(Variant::TN, m, n, k, |p| {
-            benches += 1;
-            timing(p)
-        });
-        assert!(matches!(first, KernelPlan::BlockedTuned(_)));
-        assert!(benches >= 2, "first call must bench every candidate");
-        // second call: cache hit, the bencher must not run, the plan is
-        // identical even if a re-bench would now prefer another kernel
-        let second = autotuned(Variant::TN, m, n, k, |_| {
-            panic!("cached shape must not re-bench")
-        });
-        assert_eq!(first, second);
-        // same dims under a different variant is a different key
-        let mut tn_benches = 0usize;
-        let other = autotuned(Variant::NT, m, n, k, |p| {
-            tn_benches += 1;
-            timing(p)
-        });
-        assert!(tn_benches >= 2);
-        assert_eq!(other, first, "same fake timings pick the same winner");
     }
 
     #[test]
