@@ -47,11 +47,20 @@ cargo build --release --workspace
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-# The root package's suite does not reach the kernel, layer and resource
-# suites (gemm proptests, dispatch boundaries, conv/linear bitwise
-# stability, the span/flop contract); run them explicitly.
-echo "==> tier-1: cargo test -q -p adq-tensor -p adq-nn -p adq-bench"
-cargo test -q -p adq-tensor -p adq-nn -p adq-bench
+# The root package's suite does not reach the member crates' own suites
+# (gemm proptests, dispatch boundaries, conv/linear bitwise stability, the
+# span/flop contract, the controller, PIM, quantizer, energy and AD
+# suites); run them explicitly.
+echo "==> tier-1: cargo test -q -p adq-tensor -p adq-nn -p adq-bench -p adq-core -p adq-pim -p adq-quant -p adq-energy -p adq-ad"
+cargo test -q -p adq-tensor -p adq-nn -p adq-bench -p adq-core -p adq-pim -p adq-quant \
+    -p adq-energy -p adq-ad
+
+# The integer lowering's own tests (per-layer references, MAC table,
+# ResNet junctions, the fallback counter alone in its binary) and the
+# kernel proptests. The lib's serve:: tests assert process-global serving
+# metrics that sibling tests also move, so they stay out of this gate.
+echo "==> tier-1: cargo test -q -p adq-infer (lowering + kernels)"
+cargo test -q -p adq-infer --lib --test proptests --test compile_fallback_counter -- --skip serve::
 
 # The data-parallel trainer promises bit-identical results at any worker
 # count; one extra pass under a small pool exercises the parallel schedule
@@ -339,8 +348,8 @@ if [[ "$BENCH" -eq 1 ]]; then
         cargo run --release -p adq-bench --bin bench_check -- \
             "$serving_baseline" BENCH_serving.json --key p99_ns --max-regress 1.0
         # server-side queueing tail from the access log (records lacking
-        # the key — e.g. the float baseline — are skipped): same loose
-        # cap as p99_ns, queue waits swing with scheduling noise
+        # the key are skipped): same loose cap as p99_ns, queue waits
+        # swing with scheduling noise
         cargo run --release -p adq-bench --bin bench_check -- \
             "$serving_baseline" BENCH_serving.json \
             --key queue_wait_p99_ns --max-regress 1.0

@@ -51,7 +51,6 @@ mod controller;
 pub mod baselines;
 pub mod builders;
 pub mod checkpoint;
-pub mod deploy;
 pub mod paper;
 
 pub use checkpoint::{

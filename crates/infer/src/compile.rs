@@ -1,12 +1,13 @@
-//! Lowering a trained [`Vgg`] into a self-contained [`CompiledVgg`]:
-//! BN-folded weights quantized at each layer's trained bit-width, packed
-//! into the bit-width's storage container, plus the frozen requantization
-//! parameters the integer kernels need between layers.
+//! Lowering a trained [`Vgg`] or [`ResNet`] into a self-contained
+//! [`CompiledVgg`] / [`CompiledResNet`]: BN-folded weights quantized at
+//! each layer's trained bit-width, packed into the bit-width's storage
+//! container, plus the frozen requantization parameters the integer
+//! kernels need between layers.
 //!
-//! This extends the float-simulated lowering in `adq-core`'s `deploy`
-//! module with a datapath that executes real integer arithmetic through
-//! [`crate::qgemm`]. The affine algebra is the same one the PIM
-//! simulation uses: for uniform affine quantizers `x = x_min + c·s`,
+//! This is the one integer lowering of the repository: every layer runs
+//! the datapath of the paper's PIM accelerator (§V) as real integer
+//! arithmetic through [`crate::qgemm`]. For uniform affine quantizers
+//! `x = x_min + c·s`,
 //!
 //! ```text
 //! Σ fq(w)·fq(a) = s_w·s_a·Σ c_w·c_a
@@ -14,14 +15,16 @@
 //! ```
 //!
 //! so each output needs one wide integer dot product (the GEMM) plus the
-//! cheap per-row code sums [`PackedMatrix`] precomputes. One deliberate
-//! difference from the PIM path: convolution padding is quantized like
-//! any other activation (its code is `quantize(0.0)`, the zero point), so
-//! `n` is the full fan-in — the convention of real integer engines, which
-//! pad the code matrix with the zero point rather than skipping taps.
-//! The residual against exact-zero padding is below one activation
-//! quantization step per padded tap; argmax-level agreement with the
-//! float-simulated deployment is enforced by `tests/golden_equivalence.rs`.
+//! cheap per-row code sums [`PackedMatrix`] precomputes. Convolution
+//! padding is quantized like any other activation (its code is
+//! `quantize(0.0)`, the zero point), so `n` is the full fan-in — the
+//! convention of real integer engines, which pad the code matrix with the
+//! zero point rather than skipping taps.
+//!
+//! ResNet junctions run on dequantized values (the accelerator's
+//! shift-accumulator outputs): per Fig 2 of the paper the skip branch
+//! passes through a frozen quantizer at the junction bit-width, and the
+//! ReLU'd sum is encoded into the next layer's code space.
 //!
 //! Activation quantizers are **calibrated post-training**: compilation
 //! runs a calibration batch through the integer engine itself, fits each
@@ -29,8 +32,13 @@
 //! replaces the per-batch range fitting the training-time simulation uses
 //! — a server cannot re-fit ranges per request batch without making
 //! results batch-composition-dependent.
+//!
+//! Each compiled model also carries a per-image MAC table: one
+//! `(HwPrecision, MACs)` entry per datapath layer, counting valid
+//! (non-padding) taps, computed once from the geometry. `adq-pim`'s
+//! `PimEnergyModel::macs_uj` prices it into accelerator energy.
 
-use adq_nn::{MaxPool2d, QuantModel, Vgg};
+use adq_nn::{ConvBlock, GlobalAvgPool, LinearHead, MaxPool2d, QuantModel, ResNet, Vgg};
 use adq_quant::{BitWidth, Encoder, HwPrecision, QuantError, Quantizer};
 use adq_telemetry::metrics;
 use adq_tensor::{Conv2dGeom, Tensor};
@@ -75,8 +83,8 @@ impl From<QuantError> for CompileError {
 /// Lowering policy knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct CompileOptions {
-    /// When `true` (the default, matching `deploy.rs`), layers without a
-    /// trained bit-width fall back to 16-bit and bump the
+    /// When `true` (the default), layers without a trained bit-width fall
+    /// back to 16-bit, the accelerator's widest mode, and bump the
     /// `infer.compile.unquantized_fallback` counter; when `false` they
     /// fail with [`CompileError::Unquantized`].
     pub allow_unquantized: bool,
@@ -110,10 +118,26 @@ fn layer_bits(
 }
 
 /// A frozen activation quantizer at a carried precision; degenerate
-/// calibration data falls back to the point range (same convention as
-/// `deploy.rs`).
+/// calibration data falls back to the point range.
 fn frozen_act_quantizer(bits: BitWidth, data: &[f32]) -> Quantizer {
     Quantizer::fit(bits, data).unwrap_or_else(|_| Quantizer::new(bits, Default::default()))
+}
+
+/// Rejects a calibration batch that is not `[N, channels, hw, hw]`.
+fn check_input(calibration: &Tensor, channels: usize, hw: usize) -> Result<(), CompileError> {
+    if calibration.rank() == 4 && calibration.dims()[1..] == [channels, hw, hw] {
+        return Ok(());
+    }
+    Err(CompileError::Shape(format!(
+        "calibration batch {:?} does not match model input [N, {channels}, {hw}, {hw}]",
+        calibration.dims()
+    )))
+}
+
+fn dims4(t: &Tensor) -> [usize; 4] {
+    assert_eq!(t.rank(), 4, "input must be NCHW");
+    let d = t.dims();
+    [d[0], d[1], d[2], d[3]]
 }
 
 /// One lowered convolution layer: packed BN-folded weight codes plus the
@@ -127,8 +151,10 @@ pub struct CompiledConv {
     /// Frozen quantizer for this layer's *input* activations.
     act_q: Quantizer,
     bias: Vec<f32>,
-    precision: HwPrecision,
     container: Container,
+    /// Whether the output is ReLU-clamped (a ResNet `conv2` or projection
+    /// defers its ReLU to the junction).
+    relu: bool,
     /// Whether a 2×2 max-pool follows.
     pool: bool,
 }
@@ -142,8 +168,74 @@ pub struct CompiledLinear {
     weight_q: Quantizer,
     act_q: Quantizer,
     bias: Vec<f32>,
-    precision: HwPrecision,
     container: Container,
+}
+
+/// The container both operands of a layer share.
+fn container_for(weight_q: &Quantizer, act_q: &Quantizer) -> Container {
+    Container::for_max_code(weight_q.bits().max_code())
+        .join(Container::for_max_code(act_q.bits().max_code()))
+}
+
+/// Valid (non-padding) kernel taps along one spatial axis of `size`
+/// inputs, summed over that axis's output positions.
+fn valid_taps(geom: &Conv2dGeom, size: usize) -> u64 {
+    (0..geom.output_size(size))
+        .map(|o| {
+            (0..geom.kernel)
+                .filter(|&k| (o * geom.stride + k).wrapping_sub(geom.padding) < size)
+                .count() as u64
+        })
+        .sum()
+}
+
+/// One compile pass: the lowering policy plus the per-image MAC table
+/// the lowered layers append to, in datapath order.
+struct Lowering {
+    options: CompileOptions,
+    mac_table: Vec<(HwPrecision, u64)>,
+}
+
+impl Lowering {
+    /// Lowers a trained conv block reading inputs of `dims`: folds its
+    /// batch-norm, quantizes at the block's bit-width, and attaches the
+    /// frozen input quantizer `act_q`.
+    fn conv(
+        &mut self,
+        block: &ConvBlock,
+        act_q: Quantizer,
+        dims: [usize; 4],
+        relu: bool,
+        pool: bool,
+    ) -> Result<(CompiledConv, BitWidth), CompileError> {
+        let bits = layer_bits(block.name(), block.bits(), self.options)?;
+        let (weight, bias) = block.folded_weight_bias();
+        let conv = CompiledConv::new(block.geom(), &weight, bias, bits, act_q, relu, pool)?;
+        self.mac_table
+            .push((HwPrecision::legalize(bits), conv.macs(dims)));
+        Ok((conv, bits))
+    }
+
+    /// Lowers a classifier head whose input is carried at `carry_bits`,
+    /// calibrating its input quantizer on `x`.
+    fn head(
+        &mut self,
+        head: &LinearHead,
+        carry_bits: BitWidth,
+        x: &Tensor,
+    ) -> Result<CompiledLinear, CompileError> {
+        let bits = layer_bits(head.name(), head.bits(), self.options)?;
+        let linear = head.linear();
+        let layer = CompiledLinear::new(
+            &linear.weight.value,
+            linear.bias.value.data().to_vec(),
+            bits,
+            frozen_act_quantizer(carry_bits, x.data()),
+        )?;
+        let macs = (layer.in_features * layer.out_features) as u64;
+        self.mac_table.push((HwPrecision::legalize(bits), macs));
+        Ok(layer)
+    }
 }
 
 /// A trained [`Vgg`] lowered to bit-packed integer inference — weights
@@ -154,6 +246,7 @@ pub struct CompiledLinear {
 pub struct CompiledVgg {
     convs: Vec<CompiledConv>,
     head: CompiledLinear,
+    mac_table: Vec<(HwPrecision, u64)>,
     classes: usize,
     in_channels: usize,
     input_hw: usize,
@@ -172,92 +265,37 @@ impl CompiledVgg {
         calibration: &Tensor,
         options: CompileOptions,
     ) -> Result<Self, CompileError> {
-        let stats = model.layer_stats();
-        let first_geom = model.conv_blocks()[0].geom();
-        let input_hw = stats[0].input_hw;
-        if calibration.rank() != 4
-            || calibration.dims()[1] != first_geom.in_channels
-            || calibration.dims()[2] != input_hw
-            || calibration.dims()[3] != input_hw
-        {
-            return Err(CompileError::Shape(format!(
-                "calibration batch {:?} does not match model input [N, {}, {input_hw}, {input_hw}]",
-                calibration.dims(),
-                first_geom.in_channels
-            )));
-        }
+        let in_channels = model.conv_blocks()[0].geom().in_channels;
+        let input_hw = model.layer_stats()[0].input_hw;
+        check_input(calibration, in_channels, input_hw)?;
 
+        let mut lower = Lowering {
+            options,
+            mac_table: Vec::new(),
+        };
         let mut convs = Vec::new();
         let mut x = calibration.clone();
         // network input is carried at the accelerator's full width
         let mut carry_bits = BitWidth::SIXTEEN;
         for (index, block) in model.conv_blocks().iter().enumerate() {
-            let bits = layer_bits(block.name(), block.bits(), options)?;
-            let (weight, bias) = block.folded_weight_bias();
-            let weight_q = Quantizer::fit(bits, weight.data())?;
             let act_q = frozen_act_quantizer(carry_bits, x.data());
-            let container = Container::for_max_code(weight_q.bits().max_code())
-                .join(Container::for_max_code(act_q.bits().max_code()));
-            let geom = block.geom();
-            let fan_in = geom.in_channels * geom.kernel * geom.kernel;
-            let layer = CompiledConv {
-                geom,
-                weights: PackedMatrix::pack_rows(
-                    weight.data(),
-                    geom.out_channels,
-                    fan_in,
-                    &weight_q,
-                    container,
-                ),
-                weight_q,
-                act_q,
-                bias,
-                precision: HwPrecision::legalize(bits),
-                container,
-                pool: model.pool_after(index),
-            };
+            let dims = dims4(&x);
+            let (conv, bits) = lower.conv(block, act_q, dims, true, model.pool_after(index))?;
             // calibrate the next layer on this layer's integer output;
             // encoding through the layer's own quantizer is exactly what
             // the serving chain feeds it
-            let codes = encode_all(x.data(), &layer.act_q);
-            let dims = [x.dims()[0], x.dims()[1], x.dims()[2], x.dims()[3]];
-            x = layer.run_calibrate(&codes, dims);
+            x = conv.run_float(&encode_all(x.data(), &conv.act_q), dims);
             carry_bits = bits;
-            convs.push(layer);
+            convs.push(conv);
         }
-
-        let head = model.head();
-        let bits = layer_bits(head.name(), head.bits(), options)?;
-        let linear = head.linear();
-        let weight_q = Quantizer::fit(bits, linear.weight.value.data())?;
-        let n = x.dims()[0];
-        let features = x.len() / n.max(1);
-        let flat = x.reshaped(&[n, features]).expect("flatten preserves count");
-        let act_q = frozen_act_quantizer(carry_bits, flat.data());
-        let container = Container::for_max_code(weight_q.bits().max_code())
-            .join(Container::for_max_code(act_q.bits().max_code()));
-        let head = CompiledLinear {
-            in_features: head.in_features(),
-            out_features: head.out_features(),
-            weights: PackedMatrix::pack_rows(
-                linear.weight.value.data(),
-                head.out_features(),
-                head.in_features(),
-                &weight_q,
-                container,
-            ),
-            weight_q,
-            act_q,
-            bias: linear.bias.value.data().to_vec(),
-            precision: HwPrecision::legalize(bits),
-            container,
-        };
+        let head = lower.head(model.head(), carry_bits, &x)?;
 
         Ok(Self {
             convs,
             head,
+            mac_table: lower.mac_table,
             classes: model.classes(),
-            in_channels: first_geom.in_channels,
+            in_channels,
             input_hw,
         })
     }
@@ -277,11 +315,15 @@ impl CompiledVgg {
         self.in_channels * self.input_hw * self.input_hw
     }
 
+    /// Per-image MACs of each layer at the precision it executes at,
+    /// convs then classifier.
+    pub fn mac_table(&self) -> &[(HwPrecision, u64)] {
+        &self.mac_table
+    }
+
     /// Hardware precisions the layers execute at, convs then classifier.
     pub fn precisions(&self) -> Vec<HwPrecision> {
-        let mut out: Vec<HwPrecision> = self.convs.iter().map(|c| c.precision).collect();
-        out.push(self.head.precision);
-        out
+        self.mac_table.iter().map(|&(p, _)| p).collect()
     }
 
     /// Storage containers per layer (diagnostics / size accounting).
@@ -311,9 +353,7 @@ impl CompiledVgg {
     ///
     /// Panics if `images` is not `[N, C, H, W]` matching the model.
     pub fn run(&self, images: &Tensor) -> Tensor {
-        assert_eq!(images.rank(), 4, "input must be NCHW");
-        let d = images.dims();
-        let mut dims = [d[0], d[1], d[2], d[3]];
+        let mut dims = dims4(images);
         let mut codes = encode_all(images.data(), &self.convs[0].act_q);
         for (i, conv) in self.convs.iter().enumerate() {
             let next_q = match self.convs.get(i + 1) {
@@ -324,6 +364,178 @@ impl CompiledVgg {
         }
         let [n, c, h, w] = dims;
         self.head.run_codes(&codes, n, c * h * w)
+    }
+}
+
+/// One lowered residual basic block.
+#[derive(Debug, Clone)]
+struct CompiledBlock {
+    /// Reads the block input at the carried precision.
+    conv1: CompiledConv,
+    /// Reads `conv1`'s output at `conv1`'s precision; no ReLU.
+    conv2: CompiledConv,
+    /// 1×1 projection shortcut, reading the same input codes as `conv1`.
+    proj: Option<CompiledConv>,
+    /// Frozen skip-branch quantizer at the junction bit-width (Fig 2).
+    skip_q: Quantizer,
+}
+
+/// The skip branch on a block's input codes: the projection, or the
+/// input itself dequantized.
+fn skip_branch(
+    proj: Option<&CompiledConv>,
+    in_q: &Quantizer,
+    codes: &[u16],
+    dims: [usize; 4],
+) -> Tensor {
+    match proj {
+        Some(p) => p.run_float(codes, dims),
+        None => {
+            let values = codes.iter().map(|&c| in_q.dequantize(c.into())).collect();
+            Tensor::from_vec(values, &dims).expect("codes match dims")
+        }
+    }
+}
+
+/// The Fig 2 junction: quantize the skip branch at the destination
+/// precision, add it to the main branch, ReLU.
+fn junction(skip_q: &Quantizer, mut main: Tensor, mut skip: Tensor) -> Tensor {
+    skip_q.fake_quantize_tensor_inplace(&mut skip);
+    for (m, &s) in main.data_mut().iter_mut().zip(skip.data()) {
+        *m = (*m + s).max(0.0);
+    }
+    main
+}
+
+impl CompiledBlock {
+    fn run(&self, x: &Tensor) -> Tensor {
+        let dims = dims4(x);
+        let codes = encode_all(x.data(), &self.conv1.act_q);
+        let (mid, mid_dims) = self
+            .conv1
+            .run_codes(&codes, dims, &self.conv2.act_q.encoder());
+        let main = self.conv2.run_float(&mid, mid_dims);
+        let skip = skip_branch(self.proj.as_ref(), &self.conv1.act_q, &codes, dims);
+        junction(&self.skip_q, main, skip)
+    }
+}
+
+/// A trained [`ResNet`] lowered onto the same integer engine as
+/// [`CompiledVgg`]. Convolutions consume integer codes; the residual add
+/// and ReLU run on dequantized values with the skip branch quantized at
+/// the junction bit-width (Fig 2).
+#[derive(Debug, Clone)]
+pub struct CompiledResNet {
+    stem: CompiledConv,
+    blocks: Vec<CompiledBlock>,
+    head: CompiledLinear,
+    mac_table: Vec<(HwPrecision, u64)>,
+    classes: usize,
+}
+
+impl CompiledResNet {
+    /// Lowers `model`, calibrating activation ranges on `calibration`
+    /// (shape `[N, C, H, W]` matching the model input). Layers without a
+    /// trained bit-width, junctions included, follow
+    /// [`CompileOptions::allow_unquantized`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError`] on unquantized layers (strict mode only),
+    /// non-finite weights, or a calibration shape mismatch.
+    pub fn compile(
+        model: &ResNet,
+        calibration: &Tensor,
+        options: CompileOptions,
+    ) -> Result<Self, CompileError> {
+        check_input(
+            calibration,
+            model.stem().geom().in_channels,
+            model.layer_stats()[0].input_hw,
+        )?;
+        let mut lower = Lowering {
+            options,
+            mac_table: Vec::new(),
+        };
+        let dims = dims4(calibration);
+        let act_q = frozen_act_quantizer(BitWidth::SIXTEEN, calibration.data());
+        let (stem, mut carry_bits) = lower.conv(model.stem(), act_q, dims, true, false)?;
+        let mut x = stem.run_float(&encode_all(calibration.data(), &stem.act_q), dims);
+
+        let mut blocks = Vec::new();
+        for index in 0..model.block_count() {
+            let view = model.block_view(index);
+            let dims = dims4(&x);
+            let in_q = frozen_act_quantizer(carry_bits, x.data());
+            let codes = encode_all(x.data(), &in_q);
+            let (conv1, conv1_bits) = lower.conv(view.conv1, in_q, dims, true, false)?;
+            let mid = conv1.run_float(&codes, dims);
+            let mid_q = frozen_act_quantizer(conv1_bits, mid.data());
+            let (conv2, _) = lower.conv(view.conv2, mid_q, dims4(&mid), false, false)?;
+            let proj = view.proj.map(|p| lower.conv(p, in_q, dims, false, false));
+            let proj = proj.transpose()?.map(|(conv, _)| conv);
+            let junction_name = view.conv2.name().replace(".conv2", ".junction");
+            let junction_bits = layer_bits(&junction_name, view.junction_bits, options)?;
+
+            let main = conv2.run_float(&encode_all(mid.data(), &conv2.act_q), dims4(&mid));
+            let skip = skip_branch(proj.as_ref(), &in_q, &codes, dims);
+            let skip_q = frozen_act_quantizer(junction_bits, skip.data());
+            x = junction(&skip_q, main, skip);
+            carry_bits = junction_bits;
+            blocks.push(CompiledBlock {
+                conv1,
+                conv2,
+                proj,
+                skip_q,
+            });
+        }
+        let pooled = GlobalAvgPool::new().forward(&x);
+        let head = lower.head(model.head(), carry_bits, &pooled)?;
+
+        Ok(Self {
+            stem,
+            blocks,
+            head,
+            mac_table: lower.mac_table,
+            classes: model.classes(),
+        })
+    }
+
+    /// Number of output classes.
+    pub fn classes(&self) -> usize {
+        self.classes
+    }
+
+    /// Per-image MACs of each datapath layer at the precision it executes
+    /// at: stem, then per block conv1, conv2 and the projection if any,
+    /// then the classifier.
+    pub fn mac_table(&self) -> &[(HwPrecision, u64)] {
+        &self.mac_table
+    }
+
+    /// Hardware precisions of the datapath layers, in
+    /// [`CompiledResNet::mac_table`] order.
+    pub fn precisions(&self) -> Vec<HwPrecision> {
+        self.mac_table.iter().map(|&(p, _)| p).collect()
+    }
+
+    /// Integer inference: logits `[N, classes]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `images` is not `[N, C, H, W]` matching the model.
+    pub fn run(&self, images: &Tensor) -> Tensor {
+        let dims = dims4(images);
+        let mut x = self
+            .stem
+            .run_float(&encode_all(images.data(), &self.stem.act_q), dims);
+        for block in &self.blocks {
+            x = block.run(&x);
+        }
+        let pooled = GlobalAvgPool::new().forward(&x);
+        let (n, c) = (pooled.dims()[0], pooled.dims()[1]);
+        self.head
+            .run_codes(&encode_all(pooled.data(), &self.head.act_q), n, c)
     }
 }
 
@@ -362,6 +574,47 @@ fn maxpool2_codes(codes: &[u16], dims: [usize; 4]) -> (Vec<u16>, [usize; 4]) {
 }
 
 impl CompiledConv {
+    /// Quantizes a BN-folded weight matrix `[O, I·p·p]` at `bits` and
+    /// packs it next to the frozen input quantizer `act_q`. Fails on empty or
+    /// non-finite weights.
+    fn new(
+        geom: Conv2dGeom,
+        weight: &Tensor,
+        bias: Vec<f32>,
+        bits: BitWidth,
+        act_q: Quantizer,
+        relu: bool,
+        pool: bool,
+    ) -> Result<Self, QuantError> {
+        let weight_q = Quantizer::fit(bits, weight.data())?;
+        let container = container_for(&weight_q, &act_q);
+        let fan_in = geom.in_channels * geom.kernel * geom.kernel;
+        Ok(Self {
+            geom,
+            weights: PackedMatrix::pack_rows(
+                weight.data(),
+                geom.out_channels,
+                fan_in,
+                &weight_q,
+                container,
+            ),
+            weight_q,
+            act_q,
+            bias,
+            container,
+            relu,
+            pool,
+        })
+    }
+
+    /// Per-image MACs on an input of `dims`: one per valid (non-padding)
+    /// tap of every output, the work the PIM array executes.
+    fn macs(&self, dims: [usize; 4]) -> u64 {
+        let g = &self.geom;
+        let channels = (g.in_channels * g.out_channels) as u64;
+        channels * valid_taps(g, dims[2]) * valid_taps(g, dims[3])
+    }
+
     /// Gathers the transposed `[M, fan_in]` code matrix straight from the
     /// NCHW input codes — integer im2col. Out-of-bounds taps get the
     /// activation quantizer's zero-point code (`quantize(0.0)`), matching
@@ -411,8 +664,8 @@ impl CompiledConv {
     }
 
     /// Shared GEMM + requantization core: computes every pre-pool output
-    /// as a bias-added, ReLU-clamped float and hands it to `sink` with
-    /// its NCHW index.
+    /// as a bias-added (and, for a ReLU layer, clamped) float and hands it
+    /// to `sink` with its NCHW index.
     fn forward_into(
         &self,
         codes: &[u16],
@@ -433,6 +686,7 @@ impl CompiledConv {
         let taps = fan_in as f64;
         let sum_ca = acts.row_sums();
         let sum_cw = self.weights.row_sums();
+        let floor = if self.relu { 0.0 } else { f32::NEG_INFINITY };
         qgemm(&acts, &self.weights, |mi, oi, acc| {
             let value = s_w * s_a * acc as f64
                 + w_min * s_a * sum_ca[mi] as f64
@@ -441,7 +695,7 @@ impl CompiledConv {
                 + f64::from(self.bias[oi]);
             let (ni, s) = (mi / spatial, mi % spatial);
             // fused ReLU, delivered in NCHW order
-            sink((ni * oc + oi) * spatial + s, (value as f32).max(0.0));
+            sink((ni * oc + oi) * spatial + s, (value as f32).max(floor));
         });
         [n, oc, oh, ow]
     }
@@ -469,10 +723,11 @@ impl CompiledConv {
         }
     }
 
-    /// Calibration path: same integer datapath, but the requantized
-    /// activations are kept as floats so the *next* layer's quantizer can
-    /// be fitted on them before its encoder exists.
-    fn run_calibrate(&self, codes: &[u16], dims: [usize; 4]) -> Tensor {
+    /// Float-output path: same integer datapath, but the requantized
+    /// activations are kept as floats — so calibration can fit the *next*
+    /// layer's quantizer on them before its encoder exists, and a ResNet
+    /// junction can add them to its skip branch.
+    fn run_float(&self, codes: &[u16], dims: [usize; 4]) -> Tensor {
         let mut staged = Vec::new();
         let out_dims = {
             let [n, _, h, w] = dims;
@@ -490,6 +745,35 @@ impl CompiledConv {
 }
 
 impl CompiledLinear {
+    /// Quantizes a weight matrix `[out, in]` at `bits` and packs it next
+    /// to the frozen input quantizer `act_q`. Fails on empty or
+    /// non-finite weights.
+    fn new(
+        weight: &Tensor,
+        bias: Vec<f32>,
+        bits: BitWidth,
+        act_q: Quantizer,
+    ) -> Result<Self, QuantError> {
+        let (out_features, in_features) = (weight.dims()[0], weight.dims()[1]);
+        let weight_q = Quantizer::fit(bits, weight.data())?;
+        let container = container_for(&weight_q, &act_q);
+        Ok(Self {
+            in_features,
+            out_features,
+            weights: PackedMatrix::pack_rows(
+                weight.data(),
+                out_features,
+                in_features,
+                &weight_q,
+                container,
+            ),
+            weight_q,
+            act_q,
+            bias,
+            container,
+        })
+    }
+
     /// Runs the head on flattened `[N, in]` input codes, producing float
     /// logits — the only float tensor the serving chain materializes.
     fn run_codes(&self, codes: &[u16], n: usize, features: usize) -> Tensor {
@@ -521,13 +805,25 @@ impl CompiledLinear {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adq_nn::QuantModel;
+    use adq_nn::{Param, QuantModel};
     use adq_tensor::init;
+
+    fn bw(bits: u32) -> BitWidth {
+        BitWidth::new(bits).unwrap()
+    }
 
     fn quantized_tiny(bits: &[u32]) -> Vgg {
         let mut model = Vgg::tiny(3, 8, 4, 42);
         for (i, &b) in bits.iter().enumerate() {
-            model.set_bits_of(i, Some(BitWidth::new(b).unwrap()));
+            model.set_bits_of(i, Some(bw(b)));
+        }
+        model
+    }
+
+    fn quantized_resnet(bits: u32, seed: u64) -> ResNet {
+        let mut model = ResNet::tiny(3, 8, 4, seed);
+        for i in 0..model.layer_count() {
+            model.set_bits_of(i, Some(bw(bits)));
         }
         model
     }
@@ -556,51 +852,68 @@ mod tests {
         // U16 regardless of its 2-bit weights; conv2 reads 2-bit codes
         // with 4-bit weights (Nib); conv3 reads 4-bit with 8-bit (U8);
         // the head reads 8-bit with 16-bit weights (U16)
-        assert_eq!(
-            compiled.containers(),
-            vec![
-                Container::U16,
-                Container::Nib,
-                Container::U8,
-                Container::U16
-            ]
-        );
-        assert_eq!(
-            compiled.precisions(),
-            vec![
-                HwPrecision::B2,
-                HwPrecision::B4,
-                HwPrecision::B8,
-                HwPrecision::B16
-            ]
-        );
+        use Container::{Nib, U16, U8};
+        use HwPrecision::{B16, B2, B4, B8};
+        assert_eq!(compiled.containers(), vec![U16, Nib, U8, U16]);
+        assert_eq!(compiled.precisions(), vec![B2, B4, B8, B16]);
         assert!(compiled.packed_weight_bytes() > 0);
+
+        // 3-bit layers legalize to 4-bit hardware and 3-bit codes ride
+        // the nibble container
+        let model = quantized_tiny(&[3, 3, 3, 3]);
+        let compiled = CompiledVgg::compile(&model, &images, CompileOptions::default()).unwrap();
+        assert_eq!(compiled.precisions(), vec![B4; 4]);
+        assert_eq!(compiled.containers(), vec![U16, Nib, Nib, Nib]);
     }
 
     #[test]
     fn strict_mode_rejects_unquantized_layers() {
-        let model = Vgg::tiny(3, 8, 4, 7); // no bits assigned
-        let images = Tensor::zeros(&[1, 3, 8, 8]);
         let strict = CompileOptions {
             allow_unquantized: false,
         };
+        let model = Vgg::tiny(3, 8, 4, 7); // no bits assigned
+        let images = Tensor::zeros(&[1, 3, 8, 8]);
         match CompiledVgg::compile(&model, &images, strict) {
             Err(CompileError::Unquantized { layer }) => assert_eq!(layer, "conv1"),
             other => panic!("expected Unquantized error, got {other:?}"),
         }
+        let resnet = ResNet::tiny(3, 8, 4, 31);
+        match CompiledResNet::compile(&resnet, &images, strict) {
+            Err(CompileError::Unquantized { layer }) => assert_eq!(layer, "stem"),
+            other => panic!("expected Unquantized error, got {other:?}"),
+        }
+        // fully quantized models pass strict mode
+        assert!(CompiledVgg::compile(&quantized_tiny(&[4; 4]), &images, strict).is_ok());
+        assert!(CompiledResNet::compile(&quantized_resnet(4, 31), &images, strict).is_ok());
     }
 
     #[test]
-    fn lenient_mode_counts_fallbacks() {
-        let model = Vgg::tiny(3, 8, 4, 8); // no bits assigned
-        let mut r = init::rng(3);
-        let images = init::normal(&[2, 3, 8, 8], 0.0, 1.0, &mut r);
-        let counter = metrics::global().counter("infer.compile.unquantized_fallback");
-        let before = counter.get();
-        let compiled = CompiledVgg::compile(&model, &images, CompileOptions::default()).unwrap();
-        // 3 convs + head all fell back
-        assert_eq!(counter.get() - before, 4);
-        assert!(compiled.precisions().iter().all(|&p| p == HwPrecision::B16));
+    fn non_finite_weights_are_a_typed_error() {
+        let images = init::normal(&[2, 3, 8, 8], 0.0, 1.0, &mut init::rng(9));
+        let options = CompileOptions::default();
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            // poison the first layer's weights alone, then every parameter
+            for every_param in [false, true] {
+                let poison = |model: &mut dyn QuantModel| {
+                    model.visit_params(&mut |slot: usize, p: &mut Param| {
+                        if every_param || slot == 0 {
+                            *p.value.data_mut().last_mut().unwrap() = bad;
+                        }
+                    })
+                };
+                let mut vgg = quantized_tiny(&[8, 4, 4, 8]);
+                let mut resnet = quantized_resnet(4, 11);
+                poison(&mut vgg);
+                poison(&mut resnet);
+                let vgg = CompiledVgg::compile(&vgg, &images, options);
+                let resnet = CompiledResNet::compile(&resnet, &images, options);
+                assert!(matches!(vgg, Err(CompileError::Quant(_))), "VGG, {bad}");
+                assert!(
+                    matches!(resnet, Err(CompileError::Quant(_))),
+                    "ResNet, {bad}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -609,6 +922,10 @@ mod tests {
         let images = Tensor::zeros(&[1, 3, 16, 16]);
         assert!(matches!(
             CompiledVgg::compile(&model, &images, CompileOptions::default()),
+            Err(CompileError::Shape(_))
+        ));
+        assert!(matches!(
+            CompiledResNet::compile(&quantized_resnet(8, 1), &images, CompileOptions::default()),
             Err(CompileError::Shape(_))
         ));
     }
@@ -630,18 +947,171 @@ mod tests {
         // and inside a batch must produce identical logits, because the
         // quantizers are frozen (not per-batch)
         let model = quantized_tiny(&[8, 4, 2, 8]);
+        let resnet = quantized_resnet(4, 5);
         let mut r = init::rng(5);
         let images = init::normal(&[3, 3, 8, 8], 0.0, 1.0, &mut r);
         let compiled = CompiledVgg::compile(&model, &images, CompileOptions::default()).unwrap();
-        let batched = compiled.run(&images);
+        let compiled_resnet =
+            CompiledResNet::compile(&resnet, &images, CompileOptions::default()).unwrap();
+        let batched = [compiled.run(&images), compiled_resnet.run(&images)];
         for i in 0..3 {
-            let one = images.index_axis0(i);
-            let solo = compiled.run(&one.reshaped(&[1, 3, 8, 8]).unwrap());
-            assert_eq!(
-                solo.data(),
-                &batched.data()[i * 4..(i + 1) * 4],
-                "image {i}"
-            );
+            let one = images.index_axis0(i).reshaped(&[1, 3, 8, 8]).unwrap();
+            let solo = [compiled.run(&one), compiled_resnet.run(&one)];
+            for (solo, batched) in solo.iter().zip(&batched) {
+                assert_eq!(
+                    solo.data(),
+                    &batched.data()[i * 4..(i + 1) * 4],
+                    "image {i}"
+                );
+            }
         }
+    }
+
+    /// f64 reference: fake-quantized weights times fake-quantized input
+    /// activations plus bias, out-of-bounds taps padded with `fq(0.0)`,
+    /// the zero point; outputs in NCHW order.
+    fn reference_conv(conv: &CompiledConv, weight: &Tensor, input: &Tensor) -> Vec<f64> {
+        let (g, [n, c, h, w]) = (conv.geom, dims4(input));
+        let (oc, oh, ow, p) = (g.out_channels, g.output_size(h), g.output_size(w), g.kernel);
+        let act = |ni, ci, iy: usize, ix: usize| {
+            let v = if iy < h && ix < w {
+                input.at4(ni, ci, iy, ix)
+            } else {
+                0.0
+            };
+            f64::from(conv.act_q.fake_quantize(v))
+        };
+        let wq = |oi, i| f64::from(conv.weight_q.fake_quantize(weight.at2(oi, i)));
+        (0..n * oc * oh * ow)
+            .map(|idx| {
+                let (ni, oi) = (idx / (oc * oh * ow), idx / (oh * ow) % oc);
+                let (oy, ox) = (idx / ow % oh, idx % ow);
+                let mut acc = f64::from(conv.bias[oi]);
+                for (ci, ky, kx) in (0..c * p * p).map(|t| (t / (p * p), t / p % p, t % p)) {
+                    let iy = (oy * g.stride + ky).wrapping_sub(g.padding);
+                    let ix = (ox * g.stride + kx).wrapping_sub(g.padding);
+                    acc += act(ni, ci, iy, ix) * wq(oi, (ci * p + ky) * p + kx);
+                }
+                acc
+            })
+            .collect()
+    }
+
+    #[test]
+    fn conv_layers_match_the_fake_quantized_reference() {
+        let mut rng = init::rng(1);
+        // padded 3×3, strided padded 3×3, and the strided 1×1 projection
+        let geoms = [
+            Conv2dGeom::new(2, 3, 3, 1, 1),
+            Conv2dGeom::new(2, 3, 3, 2, 1),
+            Conv2dGeom::new(2, 3, 1, 2, 0),
+        ];
+        for bits in [2u32, 4, 8] {
+            for geom in geoms {
+                let fan_in = geom.in_channels * geom.kernel * geom.kernel;
+                let weight = init::normal(&[3, fan_in], 0.0, 0.5, &mut rng);
+                let input = init::normal(&[2, 2, 6, 6], 0.0, 1.0, &mut rng);
+                let act_q = Quantizer::fit(bw(bits), input.data()).unwrap();
+                let bias = vec![0.1, -0.2, 0.3];
+                let conv =
+                    CompiledConv::new(geom, &weight, bias, bw(bits), act_q, false, false).unwrap();
+                let got = conv.run_float(&encode_all(input.data(), &act_q), dims4(&input));
+                let want = reference_conv(&conv, &weight, &input);
+                assert_eq!(got.len(), want.len());
+                for (&a, &b) in got.data().iter().zip(&want) {
+                    assert!(
+                        (f64::from(a) - b).abs() < 1e-3,
+                        "bits={bits} {geom:?}: {a} vs {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn linear_layer_matches_the_fake_quantized_reference() {
+        let mut rng = init::rng(3);
+        for bits in [2u32, 4, 8] {
+            let weight = init::normal(&[3, 8], 0.0, 0.5, &mut rng);
+            let input = init::normal(&[4, 8], 0.0, 1.0, &mut rng);
+            let act_q = Quantizer::fit(bw(bits), input.data()).unwrap();
+            let bias = vec![0.5, -0.5, 0.0];
+            let layer = CompiledLinear::new(&weight, bias.clone(), bw(bits), act_q).unwrap();
+            let got = layer.run_codes(&encode_all(input.data(), &act_q), 4, 8);
+            for ni in 0..4 {
+                for (oi, &b) in bias.iter().enumerate() {
+                    let want: f64 = (0..8)
+                        .map(|i| {
+                            f64::from(act_q.fake_quantize(input.at2(ni, i)))
+                                * f64::from(layer.weight_q.fake_quantize(weight.at2(oi, i)))
+                        })
+                        .sum::<f64>()
+                        + f64::from(b);
+                    let got = f64::from(got.at2(ni, oi));
+                    assert!((got - want).abs() < 1e-3, "bits={bits}: {got} vs {want}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mac_table_counts_valid_taps() {
+        let model = quantized_tiny(&[8, 4, 4, 8]);
+        let images = Tensor::zeros(&[1, 3, 8, 8]);
+        let compiled = CompiledVgg::compile(&model, &images, CompileOptions::default()).unwrap();
+        // brute force over the first (padded 3×3) layer's output windows
+        let geom = model.conv_blocks()[0].geom();
+        let (p, size) = (geom.kernel as isize, 8isize);
+        let mut taps = 0u64;
+        for oy in 0..geom.output_size(8) as isize {
+            for ox in 0..geom.output_size(8) as isize {
+                for ky in 0..p {
+                    for kx in 0..p {
+                        let iy = oy * geom.stride as isize + ky - geom.padding as isize;
+                        let ix = ox * geom.stride as isize + kx - geom.padding as isize;
+                        taps += u64::from((0..size).contains(&iy) && (0..size).contains(&ix));
+                    }
+                }
+            }
+        }
+        let per_tap = (geom.in_channels * geom.out_channels) as u64;
+        assert_eq!(compiled.mac_table()[0], (HwPrecision::B8, taps * per_tap));
+        // padding loses taps: fewer than the full 3×3 window everywhere
+        assert!(taps < 8 * 8 * 9);
+        let head = model.head();
+        assert_eq!(
+            compiled.mac_table()[3].1,
+            (head.in_features() * head.out_features()) as u64
+        );
+    }
+
+    #[test]
+    fn mac_table_is_per_image() {
+        // the table is a property of the geometry: calibrating on one image
+        // or three gives the same per-image counts, so a batch of N costs
+        // exactly N times the table
+        let model = quantized_tiny(&[8, 4, 2, 8]);
+        let mut r = init::rng(6);
+        let one = init::normal(&[1, 3, 8, 8], 0.0, 1.0, &mut r);
+        let three = init::normal(&[3, 3, 8, 8], 0.0, 1.0, &mut r);
+        let a = CompiledVgg::compile(&model, &one, CompileOptions::default()).unwrap();
+        let b = CompiledVgg::compile(&model, &three, CompileOptions::default()).unwrap();
+        assert_eq!(a.mac_table(), b.mac_table());
+        let resnet = quantized_resnet(4, 6);
+        let a = CompiledResNet::compile(&resnet, &one, CompileOptions::default()).unwrap();
+        let b = CompiledResNet::compile(&resnet, &three, CompileOptions::default()).unwrap();
+        assert_eq!(a.mac_table(), b.mac_table());
+    }
+
+    #[test]
+    fn resnet_lowers_every_datapath_layer() {
+        let model = ResNet::tiny(3, 8, 4, 6);
+        let images = init::normal(&[2, 3, 8, 8], 0.0, 1.0, &mut init::rng(7));
+        let compiled = CompiledResNet::compile(&model, &images, CompileOptions::default()).unwrap();
+        // stem + block0 (2 convs, identity) + block1 (2 convs + proj) + head
+        assert_eq!(compiled.precisions().len(), 1 + 2 + 3 + 1);
+        let logits = compiled.run(&images);
+        assert_eq!(logits.dims(), &[2, compiled.classes()]);
+        assert!(logits.data().iter().all(|v| v.is_finite()));
     }
 }

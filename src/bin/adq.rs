@@ -7,7 +7,7 @@
 //! adq eval     --load FILE.json         # evaluate a saved model
 //! adq baseline [--bits B] [--epochs N] [--seed S]
 //! adq energy   [--preset <name>]        # table2a-iter2, table2b-iter3, ...
-//! adq deploy   [--seed S]               # train, lower to integer, compare
+//! adq deploy   [--seed S]               # train, compile to integer, compare
 //! adq presets                           # list energy presets
 //! adq help
 //! ```
@@ -19,10 +19,10 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use adq::core::builders::{network_spec_from_stats, pim_mappings_from_spec};
-use adq::core::deploy::DeployedVgg;
 use adq::core::{paper, AdQuantizer, AdqConfig};
 use adq::datasets::SyntheticSpec;
 use adq::energy::{EnergyModel, NetworkSpec};
+use adq::infer::{CompileOptions, CompiledVgg};
 use adq::nn::train::{export_params, import_params};
 use adq::nn::{accuracy, QuantModel, ResNet, Vgg};
 use adq::pim::{NetworkEnergyReport, PimEnergyModel};
@@ -390,8 +390,9 @@ fn cmd_deploy(flags: &Flags) -> Result<(), String> {
     };
     AdQuantizer::new(config).run(&mut model, &train, &test);
     let float_logits = model.forward(&test.images, false);
-    let deployed = DeployedVgg::from_trained(&model).map_err(|e| e.to_string())?;
-    let (int_logits, stats) = deployed.run(&test.images);
+    let compiled = CompiledVgg::compile(&model, &train.images, CompileOptions::default())
+        .map_err(|e| e.to_string())?;
+    let int_logits = compiled.run(&test.images);
     let agreement = (0..test.len())
         .filter(|&i| int_logits.index_axis0(i).argmax() == float_logits.index_axis0(i).argmax())
         .count() as f64
@@ -402,11 +403,18 @@ fn cmd_deploy(flags: &Flags) -> Result<(), String> {
         100.0 * accuracy(&int_logits, &test.labels),
         100.0 * agreement
     );
+    // price the per-image MAC table for the whole test batch
+    let images = test.len() as u64;
+    let pim = PimEnergyModel::paper_table4();
+    let macs: u64 = compiled.mac_table().iter().map(|&(_, m)| m * images).sum();
+    let energy_uj: f64 = compiled
+        .mac_table()
+        .iter()
+        .map(|&(p, m)| pim.macs_uj(m * images, p))
+        .sum();
     println!(
-        "accelerator: {} MACs, {:.4} uJ, precisions {:?}",
-        stats.macs,
-        stats.energy_uj,
-        deployed
+        "accelerator: {macs} MACs, {energy_uj:.4} uJ, precisions {:?}",
+        compiled
             .precisions()
             .iter()
             .map(|p| p.bits())
@@ -437,7 +445,9 @@ fn print_help() {
          \x20            --bits B  --epochs N  --seed S\n\
          \x20 energy     analytical + PIM energy of a published operating point\n\
          \x20            --preset <name>   (see `adq presets`)\n\
-         \x20 deploy     train, lower to the integer datapath, compare accuracy\n\
+         \x20 deploy     train, compile to the integer engine (calibrated on the\n\
+         \x20            training set), compare with the float forward and\n\
+         \x20            price the MACs on the PIM accelerator (Table IV)\n\
          \x20 presets    list energy presets\n\
          \x20 help       this message"
     );

@@ -46,11 +46,9 @@
 //! typed shed frames over the wire (`--expect-shed 1` turns "no request
 //! was shed" into an error for CI).
 //!
-//! `load-gen` runs the serving benchmark fully in-process: it measures
-//! the *unbatched float* `deploy.rs` path on the same model as the
-//! baseline, then drives the batched integer server at each requested
-//! concurrency level and replica count, and writes `bench_check`
-//! records to `--out`. All latency statistics (`median_ns` == `p50_ns`,
+//! `load-gen` runs the serving benchmark fully in-process: it drives the
+//! batched integer server at each requested concurrency level and
+//! replica count, and writes `bench_check` records to `--out`. All latency statistics (`median_ns` == `p50_ns`,
 //! `p90_ns`, `p99_ns`, `mean_ns`) are per-request over the merged
 //! stream of every client's completions; `ns_per_request` is wall-clock
 //! time over completed requests — the lower-is-better throughput metric
@@ -64,13 +62,12 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use adq::core::checkpoint::{restore_model, CheckpointManager, RunCheckpoint};
-use adq::core::deploy::DeployedVgg;
 use adq::infer::serve::{
-    load_generate, load_generate_traced, stats_from_latencies, Client, LoadStats, OverloadPolicy,
-    Reply, ServeConfig, Server, TracedLoad,
+    load_generate, load_generate_traced, Client, LoadStats, OverloadPolicy, Reply, ServeConfig,
+    Server, TracedLoad,
 };
 use adq::infer::{CompileOptions, CompiledVgg};
 use adq::nn::{QuantModel, Vgg};
@@ -141,10 +138,9 @@ fn get<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T,
 }
 
 /// Builds the served model: either the seeded demo VGG, or — with
-/// `--checkpoint PATH` — a trained artifact restored through the PR-2
-/// checkpoint pipeline. Returns the float model too so `load-gen` can
-/// measure the `deploy.rs` baseline on identical weights.
-fn build_model(flags: &Flags) -> Result<(Vgg, CompiledVgg), String> {
+/// `--checkpoint PATH` — a trained artifact restored through the
+/// checkpoint pipeline.
+fn build_model(flags: &Flags) -> Result<CompiledVgg, String> {
     match flags.get("checkpoint") {
         Some(path) => checkpoint_model(flags, path),
         None => demo_model(flags),
@@ -154,7 +150,7 @@ fn build_model(flags: &Flags) -> Result<(Vgg, CompiledVgg), String> {
 /// The demo model: a seeded small VGG with every layer quantized at
 /// `--bits`, compiled against a seeded calibration batch. Deterministic,
 /// so `serve`, `probe` and `load-gen` agree on weights.
-fn demo_model(flags: &Flags) -> Result<(Vgg, CompiledVgg), String> {
+fn demo_model(flags: &Flags) -> Result<CompiledVgg, String> {
     let seed: u64 = get(flags, "seed", 0)?;
     let resolution: usize = get(flags, "resolution", 16)?;
     let classes: usize = get(flags, "classes", 10)?;
@@ -164,8 +160,7 @@ fn demo_model(flags: &Flags) -> Result<(Vgg, CompiledVgg), String> {
     for index in 0..model.layer_stats().len() {
         model.set_bits_of(index, Some(bits));
     }
-    let compiled = compile_with_seeded_calibration(&model, flags)?;
-    Ok((model, compiled))
+    compile_with_seeded_calibration(&model, flags)
 }
 
 /// Restores a trained checkpoint (a `.ckpt` file, or a checkpoint
@@ -173,7 +168,7 @@ fn demo_model(flags: &Flags) -> Result<(Vgg, CompiledVgg), String> {
 /// lowers it to the integer engine. Architecture flags must match the
 /// originating run; the construction seed is irrelevant because every
 /// parameter is overwritten by the restore.
-fn checkpoint_model(flags: &Flags, path: &str) -> Result<(Vgg, CompiledVgg), String> {
+fn checkpoint_model(flags: &Flags, path: &str) -> Result<CompiledVgg, String> {
     let ckpt = load_checkpoint(path)?;
     let resolution: usize = get(flags, "resolution", 16)?;
     let classes: usize = get(flags, "classes", 10)?;
@@ -198,8 +193,7 @@ fn checkpoint_model(flags: &Flags, path: &str) -> Result<(Vgg, CompiledVgg), Str
             .map(|b| b.map(|b| b.get()))
             .collect::<Vec<_>>()
     );
-    let compiled = compile_with_seeded_calibration(&model, flags)?;
-    Ok((model, compiled))
+    compile_with_seeded_calibration(&model, flags)
 }
 
 fn load_checkpoint(path: &str) -> Result<RunCheckpoint, String> {
@@ -262,7 +256,7 @@ fn required_addr(flags: &Flags) -> Result<SocketAddr, String> {
 }
 
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
-    let (_, compiled) = build_model(flags)?;
+    let compiled = build_model(flags)?;
     let config = serve_config(flags)?;
     let addr = flags
         .get("addr")
@@ -346,7 +340,7 @@ fn cmd_probe(flags: &Flags) -> Result<(), String> {
     client.ping().map_err(|e| format!("ping failed: {e}"))?;
     // the demo model is deterministic, so the probe recomputes the
     // expected input length and class count from the same flags
-    let (_, compiled) = build_model(flags)?;
+    let compiled = build_model(flags)?;
     let input_len = compiled.input_len();
     let mut rng = init::rng(get(flags, "probe-seed", 7u64)?);
     for i in 0..requests {
@@ -379,7 +373,7 @@ fn cmd_probe(flags: &Flags) -> Result<(), String> {
 /// logits, the rest get typed shed frames — never a dropped connection
 /// or a missing response.
 fn cmd_probe_burst(flags: &Flags, addr: SocketAddr, burst: usize) -> Result<(), String> {
-    let (_, compiled) = build_model(flags)?;
+    let compiled = build_model(flags)?;
     let input_len = compiled.input_len();
     let classes = compiled.classes();
     let probe_seed: u64 = get(flags, "probe-seed", 7)?;
@@ -435,27 +429,6 @@ fn cmd_shutdown(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Measures the unbatched float-simulated `deploy.rs` path: one
-/// [`DeployedVgg::run`] call per request on a single-image tensor.
-fn float_unbatched_baseline(model: &Vgg, requests: usize, seed: u64) -> Result<LoadStats, String> {
-    let deployed = DeployedVgg::from_trained(model).map_err(|e| e.to_string())?;
-    let stats = model.layer_stats();
-    let hw = stats[0].input_hw;
-    let channels = stats[0].geom.as_ref().map_or(3, |g| g.in_channels);
-    let mut rng = init::rng(seed ^ 0xF10A7);
-    let mut latencies = Vec::with_capacity(requests);
-    let started = Instant::now();
-    for _ in 0..requests {
-        let image = init::normal(&[1, channels, hw, hw], 0.0, 1.0, &mut rng);
-        let sent = Instant::now();
-        let (logits, _) = deployed.run(&image);
-        assert!(!logits.is_empty());
-        latencies.push(u64::try_from(sent.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    }
-    let elapsed = started.elapsed();
-    Ok(stats_from_latencies(1, latencies, 0, 0, elapsed))
-}
-
 fn record_json(name: &str, stats: &LoadStats) -> String {
     format!(
         concat!(
@@ -495,14 +468,13 @@ fn record_json_traced(
 }
 
 fn cmd_load_gen(flags: &Flags) -> Result<(), String> {
-    let (model, compiled) = build_model(flags)?;
+    let compiled = build_model(flags)?;
     // --replicas is a sweep list here (not a single count as in `serve`);
     // the per-level server overrides ServeConfig::replicas anyway
     let mut scalar_flags = flags.clone();
     scalar_flags.remove("replicas");
     let config = serve_config(&scalar_flags)?;
     let requests: usize = get(flags, "requests", 64)?;
-    let seed: u64 = get(flags, "seed", 0)?;
     let out = flags
         .get("out")
         .cloned()
@@ -523,21 +495,9 @@ fn cmd_load_gen(flags: &Flags) -> Result<(), String> {
     let concurrency = parse_list("concurrency", "1,4")?;
     let replicas = parse_list("replicas", "1")?;
 
-    // the slow scalar baseline gets a smaller (but still exact) sample
-    let baseline_requests = (requests / 4).max(8);
-    println!("measuring float unbatched deploy.rs baseline ({baseline_requests} requests)...");
-    let baseline = float_unbatched_baseline(&model, baseline_requests, seed)?;
-    println!(
-        "  float_unbatched: {:.1} req/s, p50 {:.2} ms, p99 {:.2} ms",
-        baseline.throughput_rps(),
-        baseline.p50_ns as f64 / 1e6,
-        baseline.p99_ns as f64 / 1e6
-    );
-
     let compiled = Arc::new(compiled);
     let input_len = compiled.input_len();
-    let mut records = vec![record_json("serving/float_unbatched", &baseline)];
-    let mut speedups = Vec::new();
+    let mut records = Vec::new();
     let run_level = |server_addr: SocketAddr, c: usize| -> Result<TracedLoad, String> {
         // warm up the packing scratch and branch predictors off-record
         load_generate(server_addr, c, 4, input_len).map_err(|e| e.to_string())?;
@@ -590,16 +550,14 @@ fn cmd_load_gen(flags: &Flags) -> Result<(), String> {
             } else {
                 format!("serving/int8_batched_c{c}_r{r}")
             };
-            let speedup = baseline.ns_per_request() as f64 / traced.stats.ns_per_request() as f64;
             println!(
-                "  {}: {:.1} req/s, p50 {:.2} ms, p99 {:.2} ms, {} shed ({speedup:.1}x vs float unbatched)",
+                "  {}: {:.1} req/s, p50 {:.2} ms, p99 {:.2} ms, {} shed",
                 name.trim_start_matches("serving/"),
                 traced.stats.throughput_rps(),
                 traced.stats.p50_ns as f64 / 1e6,
                 traced.stats.p99_ns as f64 / 1e6,
                 traced.stats.shed
             );
-            speedups.push(speedup);
             measured.push((name, traced));
         }
         // shutdown joins the service threads and closes the log (summary
@@ -640,8 +598,6 @@ fn cmd_load_gen(flags: &Flags) -> Result<(), String> {
     let json = format!("[\n{}\n]\n", records.join(",\n"));
     std::fs::write(&out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
     println!("wrote {out}");
-    let best = speedups.iter().cloned().fold(0.0f64, f64::max);
-    println!("best batched speedup over float unbatched: {best:.1}x");
     Ok(())
 }
 

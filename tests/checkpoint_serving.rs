@@ -1,29 +1,29 @@
 //! Serving a *trained* artifact: checkpoint → restore → integer engine →
-//! wire protocol, golden-tested against the float `deploy.rs` lowering.
+//! wire protocol, golden-tested against the trained model's own
+//! fake-quantized forward pass (`model.forward(x, false)`).
 //!
-//! PR-2's `CheckpointManager` persists a training run; `restore_model`
-//! rebuilds the trained network (structural edits, bit-widths, params,
-//! norm stats) onto a fresh instance; `CompiledVgg` lowers it to packed
-//! integer kernels; and `serve::Server` answers requests over TCP. This
-//! test drives that entire pipeline and asserts the served logits pick
-//! the same class as `DeployedVgg` on every evaluation sample — the same
-//! golden bar `tests/golden_equivalence.rs` sets for the in-process
-//! engine. A second test runs the `adq-serve` binary itself with
-//! `--checkpoint`, proving the CLI restore path lowers bit-identically
-//! to a library-side compile of the same checkpoint.
+//! `CheckpointManager` persists a training run; `restore_model` rebuilds
+//! the trained network (structural edits, bit-widths, params, norm stats)
+//! onto a fresh instance; `CompiledVgg` lowers it to packed integer
+//! kernels; and `serve::Server` answers requests over TCP. This test
+//! drives that entire pipeline and asserts the served logits pick the
+//! same class as the originally trained model's float forward on every
+//! evaluation sample — the same golden bar `tests/golden_equivalence.rs`
+//! sets for the in-process engine. A second test runs the `adq-serve`
+//! binary itself with `--checkpoint`, proving the CLI restore path lowers
+//! bit-identically to a library-side compile of the same checkpoint.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use adq::core::checkpoint::{restore_model, CheckpointManager};
-use adq::core::deploy::DeployedVgg;
 use adq::core::{AdQuantizer, AdqConfig};
 use adq::datasets::SyntheticSpec;
 use adq::infer::serve::{Client, ServeConfig, ServeModel, Server};
 use adq::infer::{CompileOptions, CompiledVgg};
 use adq::nn::train::Dataset;
-use adq::nn::Vgg;
+use adq::nn::{QuantModel, Vgg};
 use adq::telemetry::NullSink;
 use adq::tensor::{init, Tensor};
 
@@ -77,11 +77,11 @@ fn checkpointed_task(name: &str) -> (Vgg, Dataset, Dataset, PathBuf) {
 }
 
 /// checkpoint → `restore_model` → compile → serve: the logits coming
-/// back over the wire must pick the same class as the float `deploy.rs`
-/// lowering of the originally trained model, for every eval sample.
+/// back over the wire must pick the same class as the float forward of
+/// the originally trained model, for every eval sample.
 #[test]
 fn served_checkpoint_matches_deploy_golden_argmax() {
-    let (trained, train, test, dir) = checkpointed_task("golden");
+    let (mut trained, train, test, dir) = checkpointed_task("golden");
 
     // the serving side never sees `trained` — only the checkpoint
     let ckpt = CheckpointManager::new(&dir)
@@ -96,9 +96,7 @@ fn served_checkpoint_matches_deploy_golden_argmax() {
         CompiledVgg::compile(&restored, &train.images, CompileOptions::default())
             .expect("restored model lowers"),
     );
-    let deployed = DeployedVgg::from_trained(&trained).expect("trained weights are finite");
-    let (float_logits, _) = deployed.run(&test.images);
-    let want = argmax_rows(&float_logits);
+    let want = argmax_rows(&trained.forward(&test.images, false));
 
     let mut server = Server::bind(
         "127.0.0.1:0",
@@ -137,7 +135,7 @@ fn served_checkpoint_matches_deploy_golden_argmax() {
     assert_eq!(
         agree,
         test.len(),
-        "served checkpoint disagreed with deploy.rs on {} of {} eval samples \
+        "served checkpoint disagreed with the float forward on {} of {} eval samples \
          (float {want:?} vs served {got:?})",
         test.len() - agree,
         test.len()
@@ -152,7 +150,7 @@ fn served_checkpoint_matches_deploy_golden_argmax() {
 /// different numeric path.
 #[test]
 fn serve_binary_checkpoint_flag_serves_the_trained_artifact() {
-    let (trained, _train, test, dir) = checkpointed_task("binary");
+    let (mut trained, _train, test, dir) = checkpointed_task("binary");
 
     // reference lowering: restore + compile in-process with the exact
     // calibration the binary derives from its flags (seed 0, batch 16)
@@ -202,14 +200,12 @@ fn serve_binary_checkpoint_flag_serves_the_trained_artifact() {
     }
     let addr = addr.expect("server wrote its bound address");
 
+    let want = argmax_rows(&trained.forward(&test.images, false));
     let run = || -> std::io::Result<()> {
         let mut client = Client::connect(addr)?;
         let input_len = reference.input_len();
         let classes = reference.classes();
         let direct = reference.run(&test.images);
-        let deployed = DeployedVgg::from_trained(&trained).expect("trained weights are finite");
-        let (float_logits, _) = deployed.run(&test.images);
-        let want = argmax_rows(&float_logits);
         for (i, &want_class) in want.iter().enumerate().take(test.len()) {
             let row = &test.images.data()[i * input_len..(i + 1) * input_len];
             let logits = client
@@ -230,7 +226,7 @@ fn serve_binary_checkpoint_flag_serves_the_trained_artifact() {
                 .expect("non-empty logits");
             assert_eq!(
                 got, want_class,
-                "served argmax disagreed with deploy.rs on eval sample {i}"
+                "served argmax disagreed with the float forward on eval sample {i}"
             );
         }
         client.shutdown_server()?;

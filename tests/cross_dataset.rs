@@ -3,7 +3,9 @@
 
 use adq::core::{AdQuantizer, AdqConfig};
 use adq::datasets::{SyntheticSpec, TextureSpec};
+use adq::infer::{CompileOptions, CompiledVgg};
 use adq::nn::Vgg;
+use adq::pim::PimEnergyModel;
 
 fn config() -> AdqConfig {
     AdqConfig {
@@ -69,8 +71,16 @@ fn texture_dataset_feeds_deployment_pipeline() {
         .generate();
     let mut model = Vgg::tiny(1, 8, 8, 7);
     AdQuantizer::new(config()).run(&mut model, &train, &test);
-    let deployed = adq::core::deploy::DeployedVgg::from_trained(&model).expect("finite weights");
-    let (logits, stats) = deployed.run(&test.images);
+    let compiled = CompiledVgg::compile(&model, &train.images, CompileOptions::default())
+        .expect("finite weights");
+    let logits = compiled.run(&test.images);
     assert_eq!(logits.dims(), &[test.len(), 8]);
-    assert!(stats.energy_uj > 0.0);
+    // per-image accelerator energy of the compiled layers (Table IV)
+    let pim = PimEnergyModel::paper_table4();
+    let energy_uj: f64 = compiled
+        .mac_table()
+        .iter()
+        .map(|&(p, m)| pim.macs_uj(m, p))
+        .sum();
+    assert!(energy_uj > 0.0);
 }

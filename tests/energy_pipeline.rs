@@ -4,9 +4,11 @@
 use adq::core::builders::{network_spec_from_stats, pim_mappings_from_spec};
 use adq::core::paper;
 use adq::energy::EnergyModel;
+use adq::infer::{CompileOptions, CompiledVgg};
 use adq::nn::{QuantModel, Vgg};
 use adq::pim::{NetworkEnergyReport, PimEnergyModel};
 use adq::quant::BitWidth;
+use adq::tensor::init;
 
 #[test]
 fn table5_baseline_energies_reproduce() {
@@ -161,4 +163,31 @@ fn analytical_vs_pim_efficiency_gap_is_reported() {
     assert!(eff_analytical > 1.0 && eff_pim > 1.0);
     let gap = (eff_analytical / eff_pim).max(eff_pim / eff_analytical);
     assert!(gap > 1.5, "models should disagree materially, gap {gap}");
+}
+
+/// Priced on Table IV, a compiled all-2-bit model costs less energy than
+/// the same geometry compiled at 16 bits, with identical MAC counts.
+#[test]
+fn lower_precision_deployment_costs_less_energy() {
+    let pim = PimEnergyModel::paper_table4();
+    let images = init::normal(&[2, 3, 8, 8], 0.0, 1.0, &mut init::rng(3));
+    let price = |bits: u32| {
+        let mut model = Vgg::tiny(3, 8, 4, 3);
+        for i in 0..model.layer_count() {
+            model.set_bits_of(i, Some(BitWidth::new(bits).expect("valid width")));
+        }
+        let compiled = CompiledVgg::compile(&model, &images, CompileOptions::default())
+            .expect("finite fresh weights");
+        let table = compiled.mac_table();
+        let macs: u64 = table.iter().map(|&(_, m)| m).sum();
+        let energy_uj: f64 = table.iter().map(|&(p, m)| pim.macs_uj(m, p)).sum();
+        (macs, energy_uj)
+    };
+    let (wide_macs, wide_uj) = price(16);
+    let (narrow_macs, narrow_uj) = price(2);
+    assert_eq!(narrow_macs, wide_macs);
+    assert!(
+        narrow_uj < wide_uj,
+        "2-bit {narrow_uj} uJ vs 16-bit {wide_uj} uJ"
+    );
 }

@@ -6,6 +6,7 @@
 //! variants. They are `#[ignore]`d by default; run with
 //! `cargo test --release -- --ignored full_size`.
 
+use adq::infer::{CompileOptions, CompiledVgg};
 use adq::nn::{softmax_cross_entropy, QuantModel, ResNet, Vgg};
 use adq::quant::BitWidth;
 use adq::tensor::Tensor;
@@ -54,17 +55,15 @@ fn full_size_resnet18_forward_backward() {
 #[ignore = "full-size geometry; run with --release -- --ignored"]
 fn full_size_vgg19_integer_deployment() {
     let model = Vgg::vgg19(3, 32, 10, 3);
-    let deployed =
-        adq::core::deploy::DeployedVgg::from_trained(&model).expect("finite fresh weights");
-    let (logits, stats) = deployed.run(&Tensor::ones(&[1, 3, 32, 32]));
+    let image = Tensor::ones(&[1, 3, 32, 32]);
+    let compiled = CompiledVgg::compile(&model, &image, CompileOptions::default())
+        .expect("finite fresh weights");
+    let logits = compiled.run(&image);
     assert_eq!(logits.dims(), &[1, 10]);
+    let macs: u64 = compiled.mac_table().iter().map(|&(_, m)| m).sum();
     // one image through VGG19 is ~398M MACs analytically (padding taps
-    // included); the deployed datapath executes valid taps only, which for
-    // this geometry works out to ~309M (the 2x2 deep layers lose 5/9 of
-    // their windows to padding)
-    assert!(
-        (300_000_000..=398_200_000).contains(&stats.macs),
-        "{} MACs",
-        stats.macs
-    );
+    // included); the MAC table counts valid taps only, which for this
+    // geometry works out to ~309M (the 2x2 deep layers lose 5/9 of their
+    // windows to padding)
+    assert!((300_000_000..=398_200_000).contains(&macs), "{macs} MACs");
 }
