@@ -16,7 +16,7 @@ use adq_core::{AdQuantizer, AdqOutcome, CheckpointManager};
 use adq_nn::train::Dataset;
 use adq_nn::QuantModel;
 use adq_telemetry::{
-    alloc, metrics, span, trace, JsonlSink, MetricsEndpoint, NullSink, TelemetryEvent,
+    alloc, endpoint, metrics, span, trace, JsonlSink, MetricsEndpoint, NullSink, TelemetryEvent,
     TelemetrySink,
 };
 use serde::Serialize;
@@ -38,35 +38,12 @@ pub struct TelemetryOption {
     pub path: Option<String>,
 }
 
-/// Binds the Prometheus metrics endpoint when `ADQ_METRICS_ADDR` is
-/// set (e.g. `127.0.0.1:9184`, or port `0` to let the OS pick). The
-/// endpoint lives for the rest of the process; the bound address is
-/// printed and, when `ADQ_METRICS_PORT_FILE` names a path, written
-/// there so scripts scraping an OS-assigned port can find it.
-///
-/// Failures are reported but not fatal: the run's numbers are the
-/// primary output, live observability is best-effort.
+/// Binds the Prometheus metrics endpoint over the global registry when
+/// `ADQ_METRICS_ADDR` is set (see [`endpoint::bind_from_env`]); the
+/// endpoint lives for the rest of the process.
 fn bind_metrics_endpoint_from_env() {
     static ENDPOINT: OnceLock<Option<MetricsEndpoint>> = OnceLock::new();
-    ENDPOINT.get_or_init(|| {
-        let addr = std::env::var("ADQ_METRICS_ADDR").ok()?;
-        match MetricsEndpoint::bind(&addr, metrics::global()) {
-            Ok(endpoint) => {
-                let bound = endpoint.local_addr();
-                println!("(metrics endpoint listening on {bound})");
-                if let Ok(port_file) = std::env::var("ADQ_METRICS_PORT_FILE") {
-                    if let Err(err) = fs::write(&port_file, bound.to_string()) {
-                        eprintln!("warning: cannot write {port_file}: {err}");
-                    }
-                }
-                Some(endpoint)
-            }
-            Err(err) => {
-                eprintln!("warning: cannot bind metrics endpoint on {addr}: {err}");
-                None
-            }
-        }
-    });
+    ENDPOINT.get_or_init(|| endpoint::bind_from_env(vec![Arc::clone(metrics::global())]));
 }
 
 /// Parses `--telemetry <path.jsonl>` from the process arguments.

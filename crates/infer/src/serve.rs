@@ -60,9 +60,11 @@
 //! `serve.batch_run_ns` histograms plus a per-replica
 //! `serve.replica{i}.batch_run_ns`; `serve.requests` / `serve.errors` /
 //! `serve.shed_total` / `serve.queue_rejected` /
-//! `serve.rejected_nonfinite` counters — all through the
-//! global [`adq_telemetry::metrics`] registry, so a `MetricsEndpoint` in
-//! the same process exposes them to Prometheus and `adq-watch --scrape`.
+//! `serve.rejected_nonfinite` counters — all in the server's own
+//! registry ([`Server::metrics`]), so two servers in one process never
+//! share a count. A `MetricsEndpoint` bound over the global registry plus
+//! that one (as `adq-serve serve` does) exposes them to Prometheus and
+//! `adq-watch --scrape`.
 //!
 //! Every request additionally gets monotonic stage stamps (frame-read →
 //! admit → dequeue → batch-formed → replica-exec → response-written)
@@ -75,9 +77,9 @@
 //! `ok`/`shed`/`error`/`goodbye-refused`) in a JSONL access log
 //! ([`adq_telemetry::lifecycle::AccessLog`]) for `adq-report --serving`
 //! and `adq-watch --access-log`; `serve.access_log.{records,dropped,
-//! write_errors}` count the log's own health. Logging is observation-only
-//! by contract — access log on vs. off yields byte-identical responses
-//! (`tests/access_log.rs` enforces it).
+//! write_errors}` count the log's own health, in the global registry.
+//! Logging is observation-only by contract — access log on vs. off yields
+//! byte-identical responses (`tests/access_log.rs` enforces it).
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -88,11 +90,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use adq_telemetry::lifecycle::{
-    AccessLog, AccessLogHandle, RequestRecord, OUTCOME_ERROR, OUTCOME_GOODBYE_REFUSED, OUTCOME_OK,
-    OUTCOME_SHED,
+    exact_quantile_ns, AccessLog, AccessLogHandle, RequestRecord, OUTCOME_ERROR,
+    OUTCOME_GOODBYE_REFUSED, OUTCOME_OK, OUTCOME_SHED,
 };
-use adq_telemetry::metrics;
 use adq_telemetry::span;
+use adq_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use adq_tensor::Tensor;
 
 use crate::compile::CompiledVgg;
@@ -309,21 +311,11 @@ impl ConnWriter {
     /// up to [`WRITE_STALL_LIMIT`]; a connection that stays unwritable is
     /// marked dead and silently dropped from then on. `trace` appends the
     /// trace-id trailer for clients that set [`FLAG_TRACED`].
-    fn send(&self, status: u8, id: u64, body: &dyn ResponseBody, trace: Option<u64>) {
+    fn send(&self, status: u8, id: u64, body: Body, trace: Option<u64>) {
         if self.dead.load(Ordering::Relaxed) {
             return;
         }
-        let mut payload = Vec::with_capacity(13);
-        payload.push(status);
-        payload.extend_from_slice(&id.to_le_bytes());
-        body.encode(&mut payload);
-        if let Some(trace_id) = trace {
-            payload.extend_from_slice(&trace_id.to_le_bytes());
-        }
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(&u32::to_le_bytes(payload.len() as u32));
-        frame.extend_from_slice(&payload);
-
+        let frame = encode_frame(status, id, body, trace);
         let mut stream = self.stream.lock().expect("conn writer lock");
         let mut written = 0usize;
         let started = Instant::now();
@@ -349,6 +341,63 @@ impl ConnWriter {
             }
         }
         let _ = stream.flush();
+    }
+
+    /// The typed last frame of a connection the server is closing.
+    fn goodbye(&self) {
+        self.send(STATUS_GOODBYE, 0, Body::Text("server shutting down"), None);
+    }
+}
+
+/// One server's `serve.*` instruments, resolved once at bind from the
+/// server's own registry, so the service threads record lock-free.
+/// Resolving also registers them: a scrape sees every series, zeros
+/// included, before the first request.
+struct ServeMetrics {
+    requests: Arc<Counter>,
+    errors: Arc<Counter>,
+    shed_total: Arc<Counter>,
+    queue_rejected: Arc<Counter>,
+    rejected_nonfinite: Arc<Counter>,
+    queue_depth: Arc<Gauge>,
+    inflight: Arc<Gauge>,
+    batch_size: Arc<Histogram>,
+    latency: Arc<Histogram>,
+    batch_run: Arc<Histogram>,
+    replica_run: Vec<Arc<Histogram>>,
+    stage_queue_wait: Arc<Histogram>,
+    stage_batch_wait: Arc<Histogram>,
+    stage_exec: Arc<Histogram>,
+    stage_write: Arc<Histogram>,
+}
+
+impl ServeMetrics {
+    fn new(registry: &MetricsRegistry, replicas: usize, conn_workers: usize, cap: usize) -> Self {
+        registry.gauge("serve.replicas").set(replicas as f64);
+        registry
+            .gauge("serve.conn_workers")
+            .set(conn_workers as f64);
+        registry.gauge("serve.queue_cap").set(cap as f64);
+        Self {
+            requests: registry.counter("serve.requests"),
+            errors: registry.counter("serve.errors"),
+            shed_total: registry.counter("serve.shed_total"),
+            queue_rejected: registry.counter("serve.queue_rejected"),
+            rejected_nonfinite: registry.counter("serve.rejected_nonfinite"),
+            queue_depth: registry.gauge("serve.queue_depth"),
+            inflight: registry.gauge("serve.inflight"),
+            batch_size: registry
+                .histogram_with_bounds("serve.batch_size", &[1, 2, 4, 8, 16, 32, 64, 128]),
+            latency: registry.histogram("serve.latency_ns"),
+            batch_run: registry.histogram("serve.batch_run_ns"),
+            replica_run: (0..replicas)
+                .map(|i| registry.histogram(&format!("serve.replica{i}.batch_run_ns")))
+                .collect(),
+            stage_queue_wait: registry.histogram("serve.stage.queue_wait_ns"),
+            stage_batch_wait: registry.histogram("serve.stage.batch_wait_ns"),
+            stage_exec: registry.histogram("serve.stage.exec_ns"),
+            stage_write: registry.histogram("serve.stage.write_ns"),
+        }
     }
 }
 
@@ -412,6 +461,7 @@ struct Shared {
     log: Option<AccessLogHandle>,
     /// Server start, the zero point for record `ts_ns` ordering stamps.
     started: Instant,
+    metrics: ServeMetrics,
 }
 
 impl Shared {
@@ -471,9 +521,7 @@ impl Shared {
             }
         }
         q.items.push_back(pending);
-        metrics::global()
-            .gauge("serve.queue_depth")
-            .set(q.items.len() as f64);
+        self.metrics.queue_depth.set(q.items.len() as f64);
         drop(q);
         self.wake.notify_all();
         match shed {
@@ -497,6 +545,8 @@ pub struct Server {
     /// Owned so the summary line is written after every producer thread
     /// has been joined (no record can race the close).
     access_log: Option<AccessLog>,
+    /// This server's `serve.*` metrics, shared with nothing else.
+    metrics: Arc<MetricsRegistry>,
 }
 
 impl Server {
@@ -534,6 +584,7 @@ impl Server {
         let local = listener.local_addr()?;
         let conn_workers = config.conn_workers.max(1);
         let replicas = config.replicas.max(1);
+        let registry = Arc::new(MetricsRegistry::new());
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue::default()),
             wake: Condvar::new(),
@@ -545,29 +596,8 @@ impl Server {
             trace_counter: AtomicU64::new(0),
             log: access_log.as_ref().map(AccessLog::handle),
             started: Instant::now(),
+            metrics: ServeMetrics::new(&registry, replicas, conn_workers, config.queue_cap.max(1)),
         });
-
-        // register the serving metrics eagerly so a scrape sees the full
-        // dashboard (zeros included) before the first overload
-        let m = metrics::global();
-        m.counter("serve.requests");
-        m.counter("serve.errors");
-        m.counter("serve.shed_total");
-        m.counter("serve.queue_rejected");
-        m.counter("serve.rejected_nonfinite");
-        m.counter("serve.access_log.records");
-        m.counter("serve.access_log.dropped");
-        m.counter("serve.access_log.write_errors");
-        m.histogram("serve.stage.queue_wait_ns");
-        m.histogram("serve.stage.batch_wait_ns");
-        m.histogram("serve.stage.exec_ns");
-        m.histogram("serve.stage.write_ns");
-        m.gauge("serve.queue_depth").set(0.0);
-        m.gauge("serve.inflight").set(0.0);
-        m.gauge("serve.replicas").set(replicas as f64);
-        m.gauge("serve.conn_workers").set(conn_workers as f64);
-        m.gauge("serve.queue_cap")
-            .set(config.queue_cap.max(1) as f64);
 
         let injector: Arc<Mutex<VecDeque<Conn>>> = Arc::new(Mutex::new(VecDeque::new()));
 
@@ -611,12 +641,19 @@ impl Server {
             worker_handles,
             executor_handles,
             access_log,
+            metrics: registry,
         })
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// This server's metrics registry: every `serve.*` counter, gauge and
+    /// histogram it records, and nothing another server records.
+    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
+        &self.metrics
     }
 
     /// Whether a shutdown has been requested (locally or over the wire).
@@ -739,10 +776,6 @@ impl Conn {
 /// inline, and routes inference frames through admission control.
 fn conn_worker_loop(shared: Arc<Shared>, injector: Arc<Mutex<VecDeque<Conn>>>) {
     let mut conns: Vec<Conn> = Vec::new();
-    let requests = metrics::global().counter("serve.requests");
-    let errors = metrics::global().counter("serve.errors");
-    let shed_total = metrics::global().counter("serve.shed_total");
-    let queue_rejected = metrics::global().counter("serve.queue_rejected");
 
     loop {
         // adopt newly accepted connections (work-stealing: whichever
@@ -760,8 +793,7 @@ fn conn_worker_loop(shared: Arc<Shared>, injector: Arc<Mutex<VecDeque<Conn>>>) {
                 let mut remaining = Vec::new();
                 for conn in conns.drain(..) {
                     if conn.writer.inflight.load(Ordering::SeqCst) == 0 {
-                        conn.writer
-                            .send(STATUS_GOODBYE, 0, &ErrBody("server shutting down"), None);
+                        conn.writer.goodbye();
                         // drop closes the socket after the goodbye frame
                     } else {
                         remaining.push(conn);
@@ -773,8 +805,7 @@ fn conn_worker_loop(shared: Arc<Shared>, injector: Arc<Mutex<VecDeque<Conn>>>) {
                     // adopted; they get goodbyes from whoever adopts them
                     let mut inj = injector.lock().expect("conn injector lock");
                     while let Some(conn) = inj.pop_front() {
-                        conn.writer
-                            .send(STATUS_GOODBYE, 0, &ErrBody("server shutting down"), None);
+                        conn.writer.goodbye();
                     }
                     return;
                 }
@@ -818,15 +849,7 @@ fn conn_worker_loop(shared: Arc<Shared>, injector: Arc<Mutex<VecDeque<Conn>>>) {
                         break;
                     }
                 };
-                handle_frame(
-                    &frame,
-                    conn,
-                    &shared,
-                    &requests,
-                    &errors,
-                    &shed_total,
-                    &queue_rejected,
-                );
+                handle_frame(&frame, conn, &shared);
             }
         }
         conns.retain(|c| c.alive && !c.writer.dead.load(Ordering::Relaxed));
@@ -834,34 +857,27 @@ fn conn_worker_loop(shared: Arc<Shared>, injector: Arc<Mutex<VecDeque<Conn>>>) {
 }
 
 /// Handles one decoded request frame on a worker thread.
-fn handle_frame(
-    frame: &[u8],
-    conn: &mut Conn,
-    shared: &Arc<Shared>,
-    requests: &metrics::Counter,
-    errors: &metrics::Counter,
-    shed_total: &metrics::Counter,
-    queue_rejected: &metrics::Counter,
-) {
+fn handle_frame(frame: &[u8], conn: &mut Conn, shared: &Arc<Shared>) {
+    let m = &shared.metrics;
     // frame-read stamp: the request is fully off the socket
     let received = Instant::now();
     let Some((kind, traced, id, body)) = parse_request(frame) else {
         // unparseable bytes carry no id and get no lifecycle record
-        errors.inc();
+        m.errors.inc();
         conn.writer
-            .send(STATUS_ERR, 0, &ErrBody("malformed frame"), None);
+            .send(STATUS_ERR, 0, Body::Text("malformed frame"), None);
         return;
     };
     match kind {
-        KIND_PING => conn.writer.send(STATUS_OK, id, &OkBody(&[]), None),
+        KIND_PING => conn.writer.send(STATUS_OK, id, Body::Floats(&[]), None),
         KIND_SHUTDOWN => {
-            conn.writer.send(STATUS_OK, id, &OkBody(&[]), None);
+            conn.writer.send(STATUS_OK, id, Body::Floats(&[]), None);
             shared.request_shutdown();
             // wake the accept loop so it can observe the flag
             let _ = TcpStream::connect(shared.addr);
         }
         KIND_INFER => {
-            requests.inc();
+            m.requests.inc();
             let trace_id = shared.next_trace_id();
             let echo = traced.then_some(trace_id);
             let invalid = if body.len() != shared.input_len {
@@ -869,14 +885,14 @@ fn handle_frame(
             } else if !body.iter().all(|v| v.is_finite()) {
                 // NaN would encode to code 0 and come back as a confident
                 // wrong answer; refuse it instead
-                metrics::global().counter("serve.rejected_nonfinite").inc();
+                m.rejected_nonfinite.inc();
                 Some("non-finite input")
             } else {
                 None
             };
             if let Some(reason) = invalid {
-                errors.inc();
-                conn.writer.send(STATUS_ERR, id, &ErrBody(reason), echo);
+                m.errors.inc();
+                conn.writer.send(STATUS_ERR, id, Body::Text(reason), echo);
                 if let Some(log) = &shared.log {
                     log.record(RequestRecord {
                         trace_id,
@@ -912,12 +928,12 @@ fn handle_frame(
             match shared.offer(pending) {
                 Admission::Admitted => {}
                 Admission::AdmittedShedding(victim) => {
-                    shed_total.inc();
+                    m.shed_total.inc();
                     let waited = ns(victim.enqueued.elapsed());
                     victim.writer.send(
                         STATUS_SHED,
                         victim.id,
-                        &ErrBody("shed under load (superseded by newer work)"),
+                        Body::Text("shed under load (superseded by newer work)"),
                         victim.traced.then_some(victim.trace_id),
                     );
                     // evicted from a full queue: the victim's queue wait
@@ -926,23 +942,23 @@ fn handle_frame(
                     victim.writer.inflight.fetch_sub(1, Ordering::SeqCst);
                 }
                 Admission::Rejected(bounced) => {
-                    shed_total.inc();
-                    queue_rejected.inc();
+                    m.shed_total.inc();
+                    m.queue_rejected.inc();
                     bounced.writer.send(
                         STATUS_SHED,
                         bounced.id,
-                        &ErrBody("queue full, try later"),
+                        Body::Text("queue full, try later"),
                         bounced.traced.then_some(bounced.trace_id),
                     );
                     shared.log_refusal(OUTCOME_SHED, &bounced, 0, cap);
                     bounced.writer.inflight.fetch_sub(1, Ordering::SeqCst);
                 }
                 Admission::Closed(bounced) => {
-                    errors.inc();
+                    m.errors.inc();
                     bounced.writer.send(
                         STATUS_ERR,
                         bounced.id,
-                        &ErrBody("shutting down"),
+                        Body::Text("shutting down"),
                         bounced.traced.then_some(bounced.trace_id),
                     );
                     shared.log_refusal(OUTCOME_GOODBYE_REFUSED, &bounced, 0, 0);
@@ -951,9 +967,9 @@ fn handle_frame(
             }
         }
         _ => {
-            errors.inc();
+            m.errors.inc();
             conn.writer
-                .send(STATUS_ERR, id, &ErrBody("unknown request kind"), None);
+                .send(STATUS_ERR, id, Body::Text("unknown request kind"), None);
         }
     }
 }
@@ -973,17 +989,7 @@ fn executor_loop(
     let config = shared.config;
     let max_batch = config.max_batch.max(1);
     let queue_cap = config.queue_cap.max(1) as u64;
-    let queue_depth = metrics::global().gauge("serve.queue_depth");
-    let inflight = metrics::global().gauge("serve.inflight");
-    let batch_sizes =
-        metrics::global().histogram_with_bounds("serve.batch_size", &[1, 2, 4, 8, 16, 32, 64, 128]);
-    let latency = metrics::global().histogram("serve.latency_ns");
-    let batch_run = metrics::global().histogram("serve.batch_run_ns");
-    let replica_run = metrics::global().histogram(&format!("serve.replica{replica}.batch_run_ns"));
-    let stage_queue_wait = metrics::global().histogram("serve.stage.queue_wait_ns");
-    let stage_batch_wait = metrics::global().histogram("serve.stage.batch_wait_ns");
-    let stage_exec = metrics::global().histogram("serve.stage.exec_ns");
-    let stage_write = metrics::global().histogram("serve.stage.write_ns");
+    let m = &shared.metrics;
 
     loop {
         let (batch, claim, depth_after): (Vec<Pending>, Instant, u64) = {
@@ -1022,7 +1028,7 @@ fn executor_loop(
             }
             let take = q.items.len().min(max_batch);
             let batch: Vec<Pending> = q.items.drain(..take).collect();
-            queue_depth.set(q.items.len() as f64);
+            m.queue_depth.set(q.items.len() as f64);
             (batch, claim, q.items.len() as u64)
         };
         if batch.is_empty() {
@@ -1032,10 +1038,10 @@ fn executor_loop(
         let _span = span::span("serve.batch");
         // batch-formed stamp: gathering is over, execution starts
         let started = Instant::now();
-        inflight.set(
+        m.inflight.set(
             exec_inflight.fetch_add(batch.len(), Ordering::SeqCst) as f64 + batch.len() as f64,
         );
-        batch_sizes.record(batch.len() as u64);
+        m.batch_size.record(batch.len() as u64);
 
         let (c, hw) = model.input_shape();
         let input_len = model.input_len();
@@ -1046,8 +1052,8 @@ fn executor_loop(
         let logits = model.run(&images);
         let classes = model.classes();
         let run_ns = ns(started.elapsed());
-        batch_run.record(run_ns);
-        replica_run.record(run_ns);
+        m.batch_run.record(run_ns);
+        m.replica_run[replica].record(run_ns);
 
         // replica-exec done: tensor assembly + integer GEMMs + requant
         let done = Instant::now();
@@ -1065,16 +1071,17 @@ fn executor_loop(
             pending.writer.send(
                 STATUS_OK,
                 pending.id,
-                &OkBody(row),
+                Body::Floats(row),
                 pending.traced.then_some(pending.trace_id),
             );
             let written = Instant::now();
             let write_ns = ns(written.saturating_duration_since(write_from));
-            stage_queue_wait.record(queue_wait_ns);
-            stage_batch_wait.record(batch_wait_ns);
-            stage_exec.record(exec_ns);
-            stage_write.record(write_ns);
-            latency.record(ns(written.saturating_duration_since(pending.enqueued)));
+            m.stage_queue_wait.record(queue_wait_ns);
+            m.stage_batch_wait.record(batch_wait_ns);
+            m.stage_exec.record(exec_ns);
+            m.stage_write.record(write_ns);
+            m.latency
+                .record(ns(written.saturating_duration_since(pending.enqueued)));
             if let Some(log) = &shared.log {
                 log.record(RequestRecord {
                     trace_id: pending.trace_id,
@@ -1095,7 +1102,8 @@ fn executor_loop(
             }
             pending.writer.inflight.fetch_sub(1, Ordering::SeqCst);
         }
-        inflight.set(exec_inflight.fetch_sub(taken, Ordering::SeqCst) as f64 - taken as f64);
+        m.inflight
+            .set(exec_inflight.fetch_sub(taken, Ordering::SeqCst) as f64 - taken as f64);
     }
     // last executor out wakes its peers so they observe the close too
     shared.executors_live.fetch_sub(1, Ordering::SeqCst);
@@ -1126,10 +1134,41 @@ fn read_frame(stream: &mut TcpStream) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
-fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> io::Result<()> {
-    stream.write_all(&u32::to_le_bytes(payload.len() as u32))?;
-    stream.write_all(payload)?;
-    stream.flush()
+/// A frame body: `[n: u32 LE]`, then `n × f32 LE` (request inputs and
+/// logits) or, with `n = 0`, a UTF-8 message (refusals).
+enum Body<'a> {
+    Floats(&'a [f32]),
+    Text(&'a str),
+}
+
+/// Encodes one whole frame — length prefix, `[head: u8][id: u64 LE]`,
+/// the body, and the optional trace-id trailer — into one buffer, so
+/// requests and responses alike go out in a single write. (A prefix and
+/// payload written separately let a peer that has already closed fail
+/// the second write with EPIPE before the reply in flight is read.)
+fn encode_frame(head: u8, id: u64, body: Body, trace: Option<u64>) -> Vec<u8> {
+    let (n, body_len) = match body {
+        Body::Floats(values) => (values.len(), values.len() * 4),
+        Body::Text(text) => (0, text.len()),
+    };
+    let payload_len = 13 + body_len + if trace.is_some() { 8 } else { 0 };
+    let mut frame = Vec::with_capacity(4 + payload_len);
+    frame.extend_from_slice(&u32::to_le_bytes(payload_len as u32));
+    frame.push(head);
+    frame.extend_from_slice(&id.to_le_bytes());
+    frame.extend_from_slice(&u32::to_le_bytes(n as u32));
+    match body {
+        Body::Floats(values) => {
+            for v in values {
+                frame.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        Body::Text(text) => frame.extend_from_slice(text.as_bytes()),
+    }
+    if let Some(trace_id) = trace {
+        frame.extend_from_slice(&trace_id.to_le_bytes());
+    }
+    frame
 }
 
 /// Parses a request payload into `(kind, traced, id, floats)`; `traced`
@@ -1151,29 +1190,6 @@ fn parse_request(payload: &[u8]) -> Option<(u8, bool, u64, Vec<f32>)> {
         .map(|c| f32::from_le_bytes(c.try_into().expect("chunk of 4")))
         .collect();
     Some((kind, traced, id, floats))
-}
-
-struct OkBody<'a>(&'a [f32]);
-struct ErrBody<'a>(&'a str);
-
-trait ResponseBody {
-    fn encode(&self, out: &mut Vec<u8>);
-}
-
-impl ResponseBody for OkBody<'_> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&u32::to_le_bytes(self.0.len() as u32));
-        for v in self.0 {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-}
-
-impl ResponseBody for ErrBody<'_> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&u32::to_le_bytes(0));
-        out.extend_from_slice(self.0.as_bytes());
-    }
 }
 
 // ---- client -------------------------------------------------------------
@@ -1235,14 +1251,9 @@ impl Client {
     ) -> io::Result<(Reply, Option<u64>)> {
         self.next_id += 1;
         let id = self.next_id;
-        let mut payload = Vec::with_capacity(13 + input.len() * 4);
-        payload.push(if traced { kind | FLAG_TRACED } else { kind });
-        payload.extend_from_slice(&id.to_le_bytes());
-        payload.extend_from_slice(&u32::to_le_bytes(input.len() as u32));
-        for v in input {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
-        write_frame(&mut self.stream, &payload)?;
+        let head = if traced { kind | FLAG_TRACED } else { kind };
+        self.stream
+            .write_all(&encode_frame(head, id, Body::Floats(input), None))?;
         let response = read_frame(&mut self.stream)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed mid-request")
         })?;
@@ -1430,14 +1441,8 @@ pub fn stats_from_latencies(
     shed: u64,
     elapsed: Duration,
 ) -> LoadStats {
-    latencies.sort_unstable();
-    let quantile = |q: f64| -> u64 {
-        if latencies.is_empty() {
-            return 0;
-        }
-        let rank = ((q * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len());
-        latencies[rank - 1]
-    };
+    let mut quantile = |q: f64| exact_quantile_ns(&mut latencies, q);
+    let (p50_ns, p90_ns, p99_ns) = (quantile(0.50), quantile(0.90), quantile(0.99));
     let mean = if latencies.is_empty() {
         0
     } else {
@@ -1449,9 +1454,9 @@ pub fn stats_from_latencies(
         errors,
         shed,
         elapsed,
-        p50_ns: quantile(0.50),
-        p90_ns: quantile(0.90),
-        p99_ns: quantile(0.99),
+        p50_ns,
+        p90_ns,
+        p99_ns,
         mean_ns: mean,
     }
 }
@@ -1686,9 +1691,9 @@ mod tests {
         assert_eq!(stats.errors, 0);
         assert_eq!(stats.shed, 0);
         assert!(stats.p99_ns >= stats.p50_ns);
-        let sizes = metrics::global()
-            .histogram_with_bounds("serve.batch_size", &[1, 2, 4, 8, 16, 32, 64, 128]);
+        let sizes = server.metrics().histogram("serve.batch_size");
         assert!(sizes.count() > 0, "no executor recorded batches");
+        assert_eq!(server.metrics().counter("serve.requests").get(), 3 + 1 + 40);
 
         // remote shutdown drains, says goodbye, and stops every thread
         client.shutdown_server().unwrap();
@@ -1738,10 +1743,14 @@ mod tests {
             w.join().unwrap();
         }
         // both replica histograms exist; at least one ran batches
-        let r0 = metrics::global().histogram("serve.replica0.batch_run_ns");
-        let r1 = metrics::global().histogram("serve.replica1.batch_run_ns");
+        let r0 = server.metrics().histogram("serve.replica0.batch_run_ns");
+        let r1 = server.metrics().histogram("serve.replica1.batch_run_ns");
+        assert_eq!(
+            r0.count() + r1.count(),
+            server.metrics().histogram("serve.batch_run_ns").count()
+        );
         assert!(r0.count() + r1.count() > 0, "no replica recorded a batch");
-        assert_eq!(metrics::global().gauge("serve.replicas").get(), 2.0);
+        assert_eq!(server.metrics().gauge("serve.replicas").get(), 2.0);
 
         server.shutdown();
         assert!(server.shutting_down());

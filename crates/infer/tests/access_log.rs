@@ -8,30 +8,19 @@
 //!   request byte sequence;
 //! * **exact accounting** — ok/shed/shutdown paths each produce one
 //!   well-formed access-log record, and record counts reconcile with the
-//!   global `serve.*` counters and the log's own summary line.
+//!   server's own `serve.*` counters and the log's own summary line.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Duration;
 
 use adq_infer::load_generate_traced;
 use adq_infer::serve::{Client, OverloadPolicy, Reply, ServeConfig, ServeModel, Server};
 use adq_telemetry::lifecycle::{self, AccessLog, RequestRecord};
-use adq_telemetry::metrics;
 use adq_tensor::Tensor;
-
-/// The serving metrics are process-global and the tests in this binary
-/// run on parallel threads; every test that asserts counter deltas or
-/// record counts takes this lock so another test's server can't
-/// interleave its own records.
-fn test_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Deterministic echo model: logits are `first_input + column`, so any
 /// two servers given the same bytes answer with the same bytes.
@@ -77,10 +66,6 @@ impl ServeModel for EchoModel {
     }
 }
 
-fn counter(name: &str) -> u64 {
-    metrics::global().counter(name).get()
-}
-
 fn log_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("adq_access_{tag}_{}.jsonl", std::process::id()))
 }
@@ -88,11 +73,9 @@ fn log_path(tag: &str) -> PathBuf {
 // ---- raw-socket protocol helpers (no Client involved) -------------------
 
 fn write_raw_frame(stream: &mut TcpStream, payload: &[u8]) {
-    stream
-        .write_all(&u32::to_le_bytes(payload.len() as u32))
-        .unwrap();
-    stream.write_all(payload).unwrap();
-    stream.flush().unwrap();
+    let mut frame = u32::to_le_bytes(payload.len() as u32).to_vec();
+    frame.extend_from_slice(payload);
+    stream.write_all(&frame).unwrap();
 }
 
 fn read_raw_frame(stream: &mut TcpStream) -> Vec<u8> {
@@ -127,7 +110,6 @@ const STATUS_GOODBYE: u8 = 3;
 /// on the same server receives strictly increasing echoed trace ids.
 #[test]
 fn traced_protocol_coexists_with_old_format_clients() {
-    let _guard = test_lock();
     let model = Arc::new(EchoModel::new(Duration::ZERO));
     let mut server = Server::bind(
         "127.0.0.1:0",
@@ -175,7 +157,6 @@ fn traced_protocol_coexists_with_old_format_clients() {
 /// ok, traced, and error paths included.
 #[test]
 fn access_log_does_not_change_response_bytes() {
-    let _guard = test_lock();
     let path = log_path("identity");
     let make_server = |log: Option<AccessLog>| {
         Server::bind_logged(
@@ -251,10 +232,9 @@ fn records_with<'a>(records: &'a [RequestRecord], outcome: &str) -> Vec<&'a Requ
 
 /// Overload against a full queue: every shed and every answered request
 /// produces exactly one record, reconciling three ways — client-observed
-/// outcomes, global counters, and the log's own summary.
+/// outcomes, the server's counters, and the log's own summary.
 #[test]
 fn shed_and_ok_outcomes_reconcile_with_counters() {
-    let _guard = test_lock();
     let path = log_path("shed");
     let model = Arc::new(EchoModel::new(Duration::from_millis(25)));
     let mut server = Server::bind_logged(
@@ -271,8 +251,6 @@ fn shed_and_ok_outcomes_reconcile_with_counters() {
         Some(AccessLog::create(&path, 4).unwrap()),
     )
     .unwrap();
-    let shed_before = counter("serve.shed_total");
-    let requests_before = counter("serve.requests");
 
     let load = load_generate_traced(server.local_addr(), 6, 3, model.input_len()).unwrap();
     assert_eq!(load.stats.errors, 0);
@@ -297,9 +275,10 @@ fn shed_and_ok_outcomes_reconcile_with_counters() {
     assert_eq!(shed.len() as u64, load.stats.shed);
     assert_eq!(view.records.len() as u64, 6 * 3);
 
-    // counters moved by the same amounts
-    assert_eq!(counter("serve.shed_total") - shed_before, load.stats.shed);
-    assert_eq!(counter("serve.requests") - requests_before, 6 * 3);
+    // the server's own counters hold exactly these requests
+    let counter = |name: &str| server.metrics().counter(name).get();
+    assert_eq!(counter("serve.shed_total"), load.stats.shed);
+    assert_eq!(counter("serve.requests"), 6 * 3);
 
     // the echoed trace ids join 1:1 against the ok records
     let mut logged_ids: Vec<u64> = ok.iter().map(|r| r.trace_id).collect();
@@ -336,7 +315,6 @@ fn shed_and_ok_outcomes_reconcile_with_counters() {
 /// logged `ok` — and the connection still ends with a goodbye frame.
 #[test]
 fn shutdown_refusals_produce_goodbye_refused_records() {
-    let _guard = test_lock();
     let path = log_path("goodbye");
     let model = Arc::new(EchoModel::new(Duration::from_millis(120)));
     let mut server = Server::bind_logged(

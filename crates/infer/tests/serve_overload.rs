@@ -20,7 +20,6 @@ use std::time::Duration;
 
 use adq_infer::load_generate;
 use adq_infer::serve::{Client, LoadStats, OverloadPolicy, Reply, ServeConfig, ServeModel, Server};
-use adq_telemetry::metrics;
 use adq_tensor::Tensor;
 
 /// A model that sleeps per batch and tracks the largest batch it ever
@@ -73,10 +72,6 @@ impl ServeModel for SlowModel {
     }
 }
 
-fn counter(name: &str) -> u64 {
-    metrics::global().counter(name).get()
-}
-
 /// A burst far larger than the queue can hold: every request must come
 /// back as either logits or a typed shed frame — none lost, none hung —
 /// while the queue stays within its bound and the shed counters advance.
@@ -98,9 +93,6 @@ fn reject_policy_bounds_queue_and_sheds_with_typed_frames() {
     .unwrap();
     let addr = server.local_addr();
     let input_len = model.input_len();
-
-    let shed_before = counter("serve.shed_total");
-    let rejected_before = counter("serve.queue_rejected");
 
     const CLIENTS: usize = 12;
     let barrier = Arc::new(Barrier::new(CLIENTS));
@@ -157,15 +149,17 @@ fn reject_policy_bounds_queue_and_sheds_with_typed_frames() {
         answered,
         "model executed a different number of rows than clients got answers"
     );
-    // counters moved by exactly the observed sheds, and rejects == sheds
-    // under the Reject policy
-    assert_eq!(counter("serve.shed_total") - shed_before, shed as u64);
+    // the server's counters hold exactly the observed sheds, and
+    // rejects == sheds under the Reject policy
+    let metrics = server.metrics();
+    assert_eq!(metrics.counter("serve.shed_total").get(), shed as u64);
+    assert_eq!(metrics.counter("serve.queue_rejected").get(), shed as u64);
     assert_eq!(
-        counter("serve.queue_rejected") - rejected_before,
-        shed as u64
+        metrics.counter("serve.requests").get(),
+        (CLIENTS * 2) as u64
     );
     // bounded depth is also visible on the gauge the dashboard reads
-    assert!(metrics::global().gauge("serve.queue_depth").get() <= 3.0);
+    assert!(metrics.gauge("serve.queue_depth").get() <= 3.0);
 
     server.shutdown();
 }
@@ -192,8 +186,6 @@ fn shed_oldest_policy_evicts_the_oldest_queued_request() {
     .unwrap();
     let addr = server.local_addr();
     let input_len = model.input_len();
-    let shed_before = counter("serve.shed_total");
-    let rejected_before = counter("serve.queue_rejected");
 
     // request A keeps the executor busy for 120ms; B parks in the queue;
     // C arrives while the queue is full and displaces B
@@ -235,8 +227,8 @@ fn shed_oldest_policy_evicts_the_oldest_queued_request() {
         reply_of('c')
     );
     // ShedOldest sheds without rejecting newcomers
-    assert_eq!(counter("serve.shed_total") - shed_before, 1);
-    assert_eq!(counter("serve.queue_rejected") - rejected_before, 0);
+    assert_eq!(server.metrics().counter("serve.shed_total").get(), 1);
+    assert_eq!(server.metrics().counter("serve.queue_rejected").get(), 0);
 
     server.shutdown();
 }
@@ -367,7 +359,6 @@ fn non_finite_inputs_are_refused_and_the_connection_keeps_serving() {
     )
     .unwrap();
     let input_len = model.input_len();
-    let rejected_before = counter("serve.rejected_nonfinite");
 
     let mut client = Client::connect(server.local_addr()).unwrap();
     for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
@@ -382,7 +373,9 @@ fn non_finite_inputs_are_refused_and_the_connection_keeps_serving() {
         Reply::Logits(logits) => assert_eq!(logits, vec![5.0, 6.0, 7.0]),
         other => panic!("finite request after the refusals failed: {other:?}"),
     }
-    assert_eq!(counter("serve.rejected_nonfinite") - rejected_before, 3);
+    let metrics = server.metrics();
+    assert_eq!(metrics.counter("serve.rejected_nonfinite").get(), 3);
+    assert_eq!(metrics.counter("serve.errors").get(), 3);
     assert_eq!(
         model.rows.load(Ordering::SeqCst),
         1,

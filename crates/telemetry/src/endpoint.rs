@@ -1,21 +1,25 @@
 //! A std-only live metrics surface: Prometheus text exposition over TCP.
 //!
-//! [`MetricsEndpoint`] binds a [`TcpListener`] and serves a snapshot of a
-//! [`MetricsRegistry`] — counters, gauges, histograms (with cumulative
-//! buckets) — plus the process resource totals from [`crate::alloc`] on
-//! every HTTP GET, in Prometheus text exposition format 0.0.4. No HTTP
-//! library, no new dependencies: requests are read until the blank line
-//! and answered with a fixed `200 OK` whatever the path, which is all a
-//! Prometheus scraper (or `adq-watch --scrape`) needs.
+//! [`MetricsEndpoint`] binds a [`TcpListener`] and serves a snapshot of
+//! one or more [`MetricsRegistry`]s — counters, gauges, histograms (with
+//! cumulative buckets) — plus the process resource totals from
+//! [`crate::alloc`] on every HTTP GET, in Prometheus text exposition
+//! format 0.0.4. No HTTP library, no new dependencies: requests are read
+//! until the blank line and answered with a fixed `200 OK` whatever the
+//! path, which is all a Prometheus scraper (or `adq-watch --scrape`)
+//! needs.
 //!
 //! The endpoint is observation-only: it snapshots atomics on scrape and
 //! never blocks the instrumented run (the serving thread owns the
 //! listener; scrapes touch the registry through the same lock-free
 //! instrument handles the hot paths use).
 //!
+//! One page can carry several registries — the process-wide one plus,
+//! say, a server's own — whose metric names must be disjoint.
+//!
 //! Bind to port 0 to let the OS pick (`local_addr` reports the choice);
-//! bench binaries wire this to `ADQ_METRICS_ADDR` and optionally write
-//! the bound address to `ADQ_METRICS_PORT_FILE` so CI can find it.
+//! [`bind_from_env`] wires this to `ADQ_METRICS_ADDR` and optionally
+//! writes the bound address to `ADQ_METRICS_PORT_FILE` so CI can find it.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -59,36 +63,39 @@ fn fmt_value(v: f64) -> String {
     }
 }
 
-/// Renders `registry` (and, when resource tracking is on, the process
-/// resource totals) as Prometheus text exposition format 0.0.4.
-pub fn prometheus_text(registry: &MetricsRegistry) -> String {
+/// Renders `registries`, in order (and, when resource tracking is on,
+/// the process resource totals once), as Prometheus text exposition
+/// format 0.0.4.
+pub fn prometheus_text(registries: &[Arc<MetricsRegistry>]) -> String {
     let mut out = String::new();
-    for (name, value) in registry.counter_values() {
-        let name = sanitize_metric_name(&name);
-        out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
-    }
-    for (name, value) in registry.gauge_values() {
-        let name = sanitize_metric_name(&name);
-        out.push_str(&format!(
-            "# TYPE {name} gauge\n{name} {}\n",
-            fmt_value(value)
-        ));
-    }
-    for (name, histogram) in registry.histogram_handles() {
-        let name = sanitize_metric_name(&name);
-        out.push_str(&format!("# TYPE {name} histogram\n"));
-        let mut cumulative = 0u64;
-        for (bound, count) in histogram.buckets() {
-            cumulative += count;
-            let le = if bound == u64::MAX {
-                "+Inf".to_string()
-            } else {
-                bound.to_string()
-            };
-            out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
+    for registry in registries {
+        for (name, value) in registry.counter_values() {
+            let name = sanitize_metric_name(&name);
+            out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
         }
-        out.push_str(&format!("{name}_sum {}\n", histogram.sum()));
-        out.push_str(&format!("{name}_count {}\n", histogram.count()));
+        for (name, value) in registry.gauge_values() {
+            let name = sanitize_metric_name(&name);
+            out.push_str(&format!(
+                "# TYPE {name} gauge\n{name} {}\n",
+                fmt_value(value)
+            ));
+        }
+        for (name, histogram) in registry.histogram_handles() {
+            let name = sanitize_metric_name(&name);
+            out.push_str(&format!("# TYPE {name} histogram\n"));
+            let mut cumulative = 0u64;
+            for (bound, count) in histogram.buckets() {
+                cumulative += count;
+                let le = if bound == u64::MAX {
+                    "+Inf".to_string()
+                } else {
+                    bound.to_string()
+                };
+                out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
+            }
+            out.push_str(&format!("{name}_sum {}\n", histogram.sum()));
+            out.push_str(&format!("{name}_count {}\n", histogram.count()));
+        }
     }
     if alloc::tracking() {
         let totals = alloc::global_totals();
@@ -114,9 +121,10 @@ pub fn prometheus_text(registry: &MetricsRegistry) -> String {
 }
 
 /// Validates Prometheus text exposition format: every comment line is a
-/// well-formed `# HELP`/`# TYPE`, every sample line parses as
-/// `name[{labels}] value`, every histogram family has a `+Inf` bucket,
-/// and at least one sample is present. Returns the sample count.
+/// well-formed `# HELP`/`# TYPE`, no family is declared twice, every
+/// sample line parses as `name[{labels}] value`, every histogram family
+/// has a `+Inf` bucket, and at least one sample is present. Returns the
+/// sample count.
 pub fn validate_prometheus_text(text: &str) -> Result<usize, String> {
     if text.is_empty() {
         return Err("empty exposition".to_string());
@@ -132,6 +140,7 @@ pub fn validate_prometheus_text(text: &str) -> Result<usize, String> {
                 .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
     };
     let mut samples = 0usize;
+    let mut families: Vec<String> = Vec::new();
     let mut histogram_families: Vec<String> = Vec::new();
     let mut inf_buckets: Vec<String> = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -154,6 +163,10 @@ pub fn validate_prometheus_text(text: &str) -> Result<usize, String> {
                     if !valid_name(name) {
                         return Err(format!("line {lineno}: bad TYPE metric name {name:?}"));
                     }
+                    if families.iter().any(|f| f == name) {
+                        return Err(format!("line {lineno}: {name} is declared twice"));
+                    }
+                    families.push(name.to_string());
                     let kind = parts.next().unwrap_or("").trim();
                     if !matches!(
                         kind,
@@ -217,11 +230,11 @@ pub fn validate_prometheus_text(text: &str) -> Result<usize, String> {
     Ok(samples)
 }
 
-/// A background TCP server exposing a registry in Prometheus text format.
+/// A background TCP server exposing registries in Prometheus text format.
 ///
 /// Serving starts on [`bind`](MetricsEndpoint::bind) and stops when the
 /// endpoint is dropped (or [`shutdown`](MetricsEndpoint::shutdown) is
-/// called). Every scrape increments the registry's
+/// called). Every scrape increments the first registry's
 /// `telemetry.endpoint.scrapes` counter.
 pub struct MetricsEndpoint {
     addr: SocketAddr,
@@ -230,15 +243,16 @@ pub struct MetricsEndpoint {
 }
 
 impl MetricsEndpoint {
-    /// Binds `addr` (e.g. `127.0.0.1:0`) and starts serving `registry`.
-    pub fn bind(addr: &str, registry: &'static MetricsRegistry) -> std::io::Result<Self> {
+    /// Binds `addr` (e.g. `127.0.0.1:0`) and starts serving `registries`
+    /// on one page.
+    pub fn bind(addr: &str, registries: Vec<Arc<MetricsRegistry>>) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("adq-metrics".to_string())
-            .spawn(move || serve(listener, registry, &flag))?;
+            .spawn(move || serve(listener, &registries, &flag))?;
         Ok(MetricsEndpoint {
             addr: local,
             stop,
@@ -268,7 +282,7 @@ impl Drop for MetricsEndpoint {
     }
 }
 
-fn serve(listener: TcpListener, registry: &'static MetricsRegistry, stop: &AtomicBool) {
+fn serve(listener: TcpListener, registries: &[Arc<MetricsRegistry>], stop: &AtomicBool) {
     loop {
         if stop.load(Ordering::Relaxed) {
             return;
@@ -279,14 +293,16 @@ fn serve(listener: TcpListener, registry: &'static MetricsRegistry, stop: &Atomi
         if stop.load(Ordering::Relaxed) {
             return;
         }
-        registry.counter("telemetry.endpoint.scrapes").inc();
-        let _ = answer(stream, registry);
+        if let Some(first) = registries.first() {
+            first.counter("telemetry.endpoint.scrapes").inc();
+        }
+        let _ = answer(stream, registries);
     }
 }
 
 /// Reads one HTTP request (headers only) and answers with the metrics
 /// body; any I/O error just drops the connection.
-fn answer(mut stream: TcpStream, registry: &MetricsRegistry) -> std::io::Result<()> {
+fn answer(mut stream: TcpStream, registries: &[Arc<MetricsRegistry>]) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     let mut request = Vec::new();
@@ -298,13 +314,32 @@ fn answer(mut stream: TcpStream, registry: &MetricsRegistry) -> std::io::Result<
         }
         request.extend_from_slice(&chunk[..n]);
     }
-    let body = prometheus_text(registry);
+    let body = prometheus_text(registries);
     let response = format!(
         "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
     stream.write_all(response.as_bytes())?;
     stream.flush()
+}
+
+/// Binds a [`MetricsEndpoint`] over `registries` when `ADQ_METRICS_ADDR`
+/// is set (port `0` lets the OS pick), prints the bound address and
+/// writes it to `ADQ_METRICS_PORT_FILE` when that names a path. Failures
+/// only warn: live observability is best-effort, the run goes on.
+pub fn bind_from_env(registries: Vec<Arc<MetricsRegistry>>) -> Option<MetricsEndpoint> {
+    let addr = std::env::var("ADQ_METRICS_ADDR").ok()?;
+    let endpoint = MetricsEndpoint::bind(&addr, registries)
+        .map_err(|err| eprintln!("warning: cannot bind metrics endpoint on {addr}: {err}"))
+        .ok()?;
+    let bound = endpoint.local_addr();
+    println!("(metrics endpoint listening on {bound})");
+    if let Ok(port_file) = std::env::var("ADQ_METRICS_PORT_FILE") {
+        if let Err(err) = std::fs::write(&port_file, bound.to_string()) {
+            eprintln!("warning: cannot write {port_file}: {err}");
+        }
+    }
+    Some(endpoint)
 }
 
 /// Scrapes `addr` with a minimal HTTP GET and returns the response body.
@@ -338,10 +373,6 @@ pub fn scrape_text(addr: &str) -> std::io::Result<String> {
 mod tests {
     use super::*;
 
-    fn leaked_registry() -> &'static MetricsRegistry {
-        Box::leak(Box::new(MetricsRegistry::new()))
-    }
-
     #[test]
     fn sanitizer_maps_registry_names_to_prometheus_names() {
         assert_eq!(sanitize_metric_name("tensor.matmul"), "adq_tensor_matmul");
@@ -360,7 +391,7 @@ mod tests {
         let h = registry.histogram_with_bounds("tensor.matmul", &[100, 1000]);
         h.record(50);
         h.record(5000);
-        let text = prometheus_text(&registry);
+        let text = prometheus_text(&[Arc::new(registry)]);
         assert!(text.contains("# TYPE adq_core_train_batches counter\n"));
         assert!(text.contains("adq_core_train_batches 7\n"));
         assert!(text.contains("adq_run_loss 0.125\n"));
@@ -378,7 +409,7 @@ mod tests {
         let registry = MetricsRegistry::new();
         registry.gauge("run.loss").set(f64::NAN);
         registry.gauge("run.hi").set(f64::INFINITY);
-        let text = prometheus_text(&registry);
+        let text = prometheus_text(&[Arc::new(registry)]);
         assert!(text.contains("adq_run_loss NaN\n"));
         assert!(text.contains("adq_run_hi +Inf\n"));
         validate_prometheus_text(&text).expect("non-finite values are legal");
@@ -400,21 +431,32 @@ mod tests {
         assert!(err.contains("+Inf"), "unexpected error: {err}");
         // Comment-only expositions carry no samples.
         assert!(validate_prometheus_text("# TYPE x counter\n").is_err());
+        // Two registries exporting one name collide on a page.
+        let err =
+            validate_prometheus_text("# TYPE x counter\nx 1\n# TYPE x counter\nx 2\n").unwrap_err();
+        assert!(err.contains("declared twice"), "unexpected error: {err}");
     }
 
     #[test]
     fn endpoint_serves_valid_exposition_over_tcp() {
-        let registry = leaked_registry();
+        let registry = Arc::new(MetricsRegistry::new());
         registry.counter("smoke.events").add(3);
         registry.gauge("smoke.level").set(2.5);
-        let mut endpoint = MetricsEndpoint::bind("127.0.0.1:0", registry).expect("bind");
+        let instance = Arc::new(MetricsRegistry::new());
+        instance.counter("serve.requests").add(5);
+        let mut endpoint =
+            MetricsEndpoint::bind("127.0.0.1:0", vec![Arc::clone(&registry), instance])
+                .expect("bind");
         let addr = endpoint.local_addr().to_string();
         let body = scrape_text(&addr).expect("scrape");
         validate_prometheus_text(&body).expect("valid exposition");
+        // Both registries share the page.
         assert!(body.contains("adq_smoke_events 3\n"));
-        // A second scrape sees the scrape counter from the first.
+        assert!(body.contains("adq_serve_requests 5\n"));
+        // Scrapes count in the first registry, before the page renders.
         let body = scrape_text(&addr).expect("second scrape");
-        assert!(body.contains("adq_telemetry_endpoint_scrapes"));
+        assert!(body.contains("adq_telemetry_endpoint_scrapes 2\n"));
+        assert_eq!(registry.counter("telemetry.endpoint.scrapes").get(), 2);
         endpoint.shutdown();
         // After shutdown the listener is gone (connect may succeed briefly
         // on backlog, but a fresh bind to the same port must be possible).

@@ -28,8 +28,8 @@
 //!   counters the kernels feed; spans attach the per-phase deltas as
 //!   attributes when `ADQ_RESOURCES` tracking is on.
 //! * [`endpoint`] — [`MetricsEndpoint`], a std-only TCP server exposing
-//!   the registry (and resource totals) in Prometheus text exposition
-//!   format for live scraping.
+//!   one or more registries (and resource totals) in Prometheus text
+//!   exposition format for live scraping.
 //! * [`health`] — [`HealthMonitor`]/[`RunHealth`], typed anomaly
 //!   detection (non-finite loss, accuracy collapse, stalled run, queue
 //!   saturation) over the event stream, used by `adq-watch`.

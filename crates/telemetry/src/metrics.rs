@@ -353,9 +353,11 @@ impl MetricsRegistry {
 }
 
 /// The process-wide registry used by the pipeline's hot-path timers.
-pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
+/// It is an `Arc` so a [`MetricsEndpoint`](crate::MetricsEndpoint) can
+/// export it next to instance registries such as a server's.
+pub fn global() -> &'static Arc<MetricsRegistry> {
+    static GLOBAL: OnceLock<Arc<MetricsRegistry>> = OnceLock::new();
+    GLOBAL.get_or_init(Arc::default)
 }
 
 #[cfg(test)]

@@ -72,7 +72,7 @@ use adq::infer::serve::{
 use adq::infer::{CompileOptions, CompiledVgg};
 use adq::nn::{QuantModel, Vgg};
 use adq::quant::BitWidth;
-use adq::telemetry::endpoint::MetricsEndpoint;
+use adq::telemetry::endpoint;
 use adq::telemetry::lifecycle::{self, RequestRecord};
 use adq::telemetry::metrics;
 use adq::telemetry::AccessLog;
@@ -305,25 +305,12 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         std::fs::write(port_file, bound.to_string())
             .map_err(|e| format!("cannot write {port_file}: {e}"))?;
     }
-    // optional Prometheus endpoint, same env handshake as the bench bins
-    let _endpoint = match std::env::var("ADQ_METRICS_ADDR") {
-        Ok(metrics_addr) => match MetricsEndpoint::bind(&metrics_addr, metrics::global()) {
-            Ok(endpoint) => {
-                let metrics_bound = endpoint.local_addr();
-                println!("(metrics endpoint listening on {metrics_bound})");
-                if let Ok(path) = std::env::var("ADQ_METRICS_PORT_FILE") {
-                    std::fs::write(&path, metrics_bound.to_string())
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                }
-                Some(endpoint)
-            }
-            Err(err) => {
-                eprintln!("warning: cannot bind metrics endpoint on {metrics_addr}: {err}");
-                None
-            }
-        },
-        Err(_) => None,
-    };
+    // optional Prometheus endpoint, same env handshake as the bench bins:
+    // the process-wide metrics plus this server's own serve.* series
+    let _endpoint = endpoint::bind_from_env(vec![
+        Arc::clone(metrics::global()),
+        Arc::clone(server.metrics()),
+    ]);
     server.wait();
     println!("server stopped");
     Ok(())
@@ -498,6 +485,7 @@ fn cmd_load_gen(flags: &Flags) -> Result<(), String> {
     let compiled = Arc::new(compiled);
     let input_len = compiled.input_len();
     let mut records = Vec::new();
+    let mut served_by = Vec::new();
     let run_level = |server_addr: SocketAddr, c: usize| -> Result<TracedLoad, String> {
         // warm up the packing scratch and branch predictors off-record
         load_generate(server_addr, c, 4, input_len).map_err(|e| e.to_string())?;
@@ -563,6 +551,7 @@ fn cmd_load_gen(flags: &Flags) -> Result<(), String> {
         // shutdown joins the service threads and closes the log (summary
         // line + flush), so the read below sees every record
         server.shutdown();
+        served_by.push(Arc::clone(server.metrics()));
         let view = lifecycle::read_records(&log_path)
             .map_err(|e| format!("cannot read load-gen access log: {e}"))?;
         let by_trace: HashMap<u64, &RequestRecord> =
@@ -582,16 +571,19 @@ fn cmd_load_gen(flags: &Flags) -> Result<(), String> {
         std::fs::remove_file(&log_path).ok();
     }
 
-    // the servers ran in-process, so their executor metrics are ours
-    let batch_runs = metrics::global().histogram("serve.batch_run_ns");
-    let served = metrics::global().counter("serve.requests").get();
-    if batch_runs.count() > 0 {
+    // the servers ran in-process: sum their executor metrics
+    let (mut batches, mut batch_ns, mut served) = (0u64, 0u64, 0u64);
+    for registry in &served_by {
+        let runs = registry.histogram("serve.batch_run_ns");
+        batches += runs.count();
+        batch_ns += runs.sum();
+        served += registry.counter("serve.requests").get();
+    }
+    if batches > 0 {
         println!(
-            "  executors: {} batches for {} requests (avg {:.1}/batch), batch compute p50 {:.2} ms",
-            batch_runs.count(),
-            served,
-            served as f64 / batch_runs.count() as f64,
-            batch_runs.quantile(0.5) / 1e6
+            "  executors: {batches} batches for {served} requests (avg {:.1}/batch), batch compute mean {:.2} ms",
+            served as f64 / batches as f64,
+            batch_ns as f64 / batches as f64 / 1e6
         );
     }
 
