@@ -8,25 +8,19 @@
 #                    (tests/full_size_smoke.rs: VGG-19 / ResNet-18 at real
 #                    geometry). Minutes of CPU, not hours — run before
 #                    release tags or after touching the tensor/nn hot paths.
-#   ./ci.sh --bench  tier-1 gate plus the criterion kernel and epoch benches
-#                    in quick mode. Writes the medians to BENCH_kernels.json
-#                    and BENCH_epoch.json, the trace smoke run's per-phase
-#                    peak/alloc bytes to BENCH_memory.json, and the serving
-#                    load-generator's throughput + latency records to
-#                    BENCH_serving.json, at the repo root (the cross-PR perf
-#                    + memory trajectory) and fails if anything tracked in a
-#                    committed baseline regresses by more than 25%.
+#
+# Performance is measured by the repository benchmark in perfbench/ (see
+# perfbench/README.md and BENCHMARK.json); this script only builds and
+# unit-tests it.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 FULL=0
-BENCH=0
 for arg in "$@"; do
     case "$arg" in
     --full) FULL=1 ;;
-    --bench) BENCH=1 ;;
     *)
-        echo "ci.sh: unknown argument '$arg' (supported: --full, --bench)" >&2
+        echo "ci.sh: unknown argument '$arg' (supported: --full)" >&2
         exit 2
         ;;
     esac
@@ -53,6 +47,13 @@ cargo test -q
 # small pool exercises the parallel schedule where it asserts serial numbers.
 echo "==> tier-1: cargo test -q -p adq (RAYON_NUM_THREADS=2)"
 RAYON_NUM_THREADS=2 cargo test -q -p adq
+
+# The benchmark is its own package and workspace, so the steps above never
+# compile it: build and unit-test it here, so a crate API change cannot
+# break it unnoticed. --locked fails instead of rewriting its lockfile.
+echo "==> benchmark: cargo test --manifest-path perfbench/Cargo.toml"
+CARGO_TARGET_DIR=.bench_build cargo test --offline --locked -q \
+    --manifest-path perfbench/Cargo.toml
 
 # Trace smoke: one Algorithm-1 bench run with tracing, resource counters
 # and the live metrics endpoint on must yield a valid Chrome trace, a
@@ -105,21 +106,16 @@ echo "==> tier-1: adq-watch --once over the run stream"
 ./target/release/adq-report "$trace_dir/run.jsonl" \
     --metrics "$trace_dir/results/table2_quantization_metrics.json" \
     --out "$trace_dir/report.md" \
-    --memory-json "$trace_dir/memory.json" \
     --reconcile-trace "$trace_dir/run.trace.json"
 test -s "$trace_dir/report.md" || {
     echo "ci: adq-report wrote no markdown report" >&2
-    exit 1
-}
-test -s "$trace_dir/memory.json" || {
-    echo "ci: adq-report wrote no per-phase memory snapshot" >&2
     exit 1
 }
 grep -q "heap peak" "$trace_dir/report.md" || {
     echo "ci: report lacks resource attribution columns" >&2
     exit 1
 }
-TRACE_SMOKE_DIR="$trace_dir"
+rm -rf "$trace_dir"
 
 # Serving smoke: boot adq-serve with 2 replicas, a deliberately tiny
 # admission queue and the request-lifecycle access log on (port-file
@@ -250,100 +246,4 @@ if [[ "$FULL" -eq 1 ]]; then
     cargo test --release --test full_size_smoke -- --ignored
 fi
 
-if [[ "$BENCH" -eq 1 ]]; then
-    echo "==> bench: criterion kernels (quick mode) -> BENCH_kernels.json"
-    # Compare against the committed snapshot before overwriting it: the
-    # baseline is whatever HEAD has, so the perf trajectory accumulates
-    # PR over PR.
-    baseline=""
-    if git cat-file -e HEAD:BENCH_kernels.json 2>/dev/null; then
-        baseline="$(mktemp)"
-        git show HEAD:BENCH_kernels.json >"$baseline"
-    fi
-    CRITERION_JSON="$PWD/BENCH_kernels.json" CRITERION_SAMPLE_SIZE=5 \
-        cargo bench -p adq-bench --bench kernels
-    if [[ -n "$baseline" ]]; then
-        echo "==> bench: regression check vs committed baseline"
-        cargo run --release -p adq-bench --bin bench_check -- \
-            "$baseline" BENCH_kernels.json --max-regress 0.25
-        rm -f "$baseline"
-    else
-        echo "==> bench: no committed baseline yet (first snapshot)"
-    fi
-
-    echo "==> bench: criterion epoch (quick mode) -> BENCH_epoch.json"
-    epoch_baseline=""
-    if git cat-file -e HEAD:BENCH_epoch.json 2>/dev/null; then
-        epoch_baseline="$(mktemp)"
-        git show HEAD:BENCH_epoch.json >"$epoch_baseline"
-    fi
-    CRITERION_JSON="$PWD/BENCH_epoch.json" CRITERION_SAMPLE_SIZE=5 \
-        cargo bench -p adq-bench --bench epoch
-    if [[ -n "$epoch_baseline" ]]; then
-        echo "==> bench: epoch regression check vs committed baseline"
-        cargo run --release -p adq-bench --bin bench_check -- \
-            "$epoch_baseline" BENCH_epoch.json --max-regress 0.25
-        rm -f "$epoch_baseline"
-    else
-        echo "==> bench: no committed epoch baseline yet (first snapshot)"
-    fi
-
-    echo "==> bench: archiving trace-smoke report -> BENCH_report.md"
-    cp "$TRACE_SMOKE_DIR/report.md" BENCH_report.md
-
-    echo "==> bench: per-phase memory snapshot -> BENCH_memory.json"
-    mem_baseline=""
-    if git cat-file -e HEAD:BENCH_memory.json 2>/dev/null; then
-        mem_baseline="$(mktemp)"
-        git show HEAD:BENCH_memory.json >"$mem_baseline"
-    fi
-    cp "$TRACE_SMOKE_DIR/memory.json" BENCH_memory.json
-    if [[ -n "$mem_baseline" ]]; then
-        echo "==> bench: memory regression check vs committed baseline"
-        cargo run --release -p adq-bench --bin bench_check -- \
-            "$mem_baseline" BENCH_memory.json --key bytes --max-regress 0.25
-        rm -f "$mem_baseline"
-    else
-        echo "==> bench: no committed memory baseline yet (first snapshot)"
-    fi
-
-    echo "==> bench: serving load generator -> BENCH_serving.json"
-    serving_baseline=""
-    if git cat-file -e HEAD:BENCH_serving.json 2>/dev/null; then
-        serving_baseline="$(mktemp)"
-        git show HEAD:BENCH_serving.json >"$serving_baseline"
-    fi
-    ./target/release/adq-serve load-gen --concurrency 1,4,8 --replicas 1,2,4 \
-        --requests 96 --out BENCH_serving.json
-    if [[ -n "$serving_baseline" ]]; then
-        echo "==> bench: serving regression check (throughput + tail latency)"
-        # ns_per_request = mean wall-clock per completed request (the
-        # throughput gate, tight); the second pass gates the p99 tail.
-        # Tail quantiles swing ~50% run-to-run on a single-core box, so
-        # the p99 cap only catches a tail that at least doubles.
-        cargo run --release -p adq-bench --bin bench_check -- \
-            "$serving_baseline" BENCH_serving.json \
-            --key ns_per_request --max-regress 0.25
-        cargo run --release -p adq-bench --bin bench_check -- \
-            "$serving_baseline" BENCH_serving.json --key p99_ns --max-regress 1.0
-        # server-side queueing tail from the access log (records lacking
-        # the key are skipped): same loose cap as p99_ns, queue waits
-        # swing with scheduling noise
-        cargo run --release -p adq-bench --bin bench_check -- \
-            "$serving_baseline" BENCH_serving.json \
-            --key queue_wait_p99_ns --max-regress 1.0
-        rm -f "$serving_baseline"
-    else
-        echo "==> bench: no committed serving baseline yet (first snapshot)"
-    fi
-    echo "==> bench: replica-scaling floor (r=2 within 25% of r=1 at c=8)"
-    # Self-check against the fresh snapshot: on multi-core boxes two
-    # replicas should *beat* one; on the 1-core reference container the
-    # extra executor must cost at most the allowed overhead.
-    cargo run --release -p adq-bench --bin bench_check -- \
-        BENCH_serving.json --key ns_per_request \
-        --within serving/int8_batched_c8_r2:serving/int8_batched_c8:0.25
-fi
-
-rm -rf "$TRACE_SMOKE_DIR"
 echo "ci: all green"

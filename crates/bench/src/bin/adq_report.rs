@@ -7,8 +7,6 @@
 //! schedule tables mirroring the paper's Table II, and the Table I energy
 //! model breakdown. Two auxiliary modes serve CI:
 //!
-//! * `--diff old.jsonl new.jsonl` flags per-phase wall-time and run-metric
-//!   regressions between two runs (exit 1 when any regress).
 //! * `--validate-trace trace.json` checks an exported Chrome trace's shape
 //!   (exit 2 when malformed).
 //! * `--serving access.jsonl` renders per-stage latency attribution from a
@@ -19,7 +17,6 @@
 //! ```text
 //! adq-report <run.jsonl> [--metrics <metrics.json>] [--out <report.md>]
 //!            [--json <report.json>] [--reconcile-trace <trace.json>]
-//! adq-report --diff <old.jsonl> <new.jsonl> [--max-regress <frac>]
 //! adq-report --validate-trace <trace.json>
 //! adq-report --serving <access.jsonl> [--decompose-within <frac>]
 //! ```
@@ -35,10 +32,8 @@ use serde_json::json;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: adq-report <run.jsonl> [--metrics <metrics.json>] [--out <report.md>] \
-         [--json <report.json>] [--memory-json <mem.json>] \
-         [--reconcile-trace <trace.json>]\n       \
-         adq-report --diff <old.jsonl> <new.jsonl> \
-         [--max-regress <frac>]\n       adq-report --validate-trace <trace.json>\n       \
+         [--json <report.json>] [--reconcile-trace <trace.json>]\n       \
+         adq-report --validate-trace <trace.json>\n       \
          adq-report --serving <access.jsonl> [--decompose-within <frac>]"
     );
     ExitCode::from(2)
@@ -53,15 +48,6 @@ fn main() -> ExitCode {
         "--validate-trace" => match args.get(1) {
             Some(path) => validate_trace(path),
             None => usage(),
-        },
-        "--diff" => match (args.get(1), args.get(2)) {
-            (Some(old), Some(new)) => {
-                let max_regress = flag_value(&args, "--max-regress")
-                    .and_then(|raw| raw.parse::<f64>().ok())
-                    .unwrap_or(0.25);
-                diff(old, new, max_regress)
-            }
-            _ => usage(),
         },
         "--serving" => match args.get(1) {
             Some(path) => {
@@ -115,135 +101,6 @@ fn validate_trace(path: &str) -> ExitCode {
             eprintln!("adq-report: {path} is not a valid Chrome trace: {err}");
             ExitCode::from(2)
         }
-    }
-}
-
-// -------------------------------------------------------------------- diff
-
-/// Sum of span durations per span name, in ns.
-fn phase_totals(spans: &[TraceSpan]) -> BTreeMap<String, u64> {
-    let mut totals = BTreeMap::new();
-    for span in spans {
-        *totals.entry(span.name.clone()).or_insert(0) += span.duration_ns();
-    }
-    totals
-}
-
-/// Scalar run metrics comparable across runs. Accuracy regresses downward,
-/// everything else upward. Streams holding several runs (e.g. a bench
-/// binary driving baseline + quantized runs) get `#k` suffixes so the
-/// k-th run of one stream pairs with the k-th run of the other.
-fn run_metrics(events: &[TelemetryEvent]) -> Vec<(String, f64, bool)> {
-    let mut out = Vec::new();
-    let mut run = 0usize;
-    for event in events {
-        if let TelemetryEvent::RunCompleted {
-            iterations,
-            training_complexity,
-            final_accuracy,
-        } = event
-        {
-            run += 1;
-            let suffix = if run > 1 {
-                format!("#{run}")
-            } else {
-                String::new()
-            };
-            out.push((format!("run.iterations{suffix}"), *iterations as f64, false));
-            out.push((
-                format!("run.training_complexity{suffix}"),
-                *training_complexity,
-                false,
-            ));
-            out.push((format!("run.final_accuracy{suffix}"), *final_accuracy, true));
-        }
-    }
-    out
-}
-
-fn diff(old_path: &str, new_path: &str, max_regress: f64) -> ExitCode {
-    let (old_events, new_events) = match (load_events(old_path), load_events(new_path)) {
-        (Ok(old), Ok(new)) => (old, new),
-        (Err(code), _) | (_, Err(code)) => return code,
-    };
-    let old_phases = phase_totals(&trace::spans_from_events(&old_events));
-    let new_phases = phase_totals(&trace::spans_from_events(&new_events));
-    let mut regressions = Vec::new();
-
-    println!("== per-phase wall time: {old_path} -> {new_path} ==");
-    println!(
-        "{:<28} {:>12} {:>12} {:>9}",
-        "phase", "old ms", "new ms", "delta"
-    );
-    for (name, new_ns) in &new_phases {
-        let old_ns = old_phases.get(name).copied().unwrap_or(0);
-        let (old_ms, new_ms) = (old_ns as f64 / 1e6, *new_ns as f64 / 1e6);
-        let delta = if old_ns > 0 {
-            (new_ms - old_ms) / old_ms
-        } else {
-            0.0
-        };
-        let flag = if old_ns > 0 && delta > max_regress {
-            regressions.push(format!(
-                "phase {name}: {old_ms:.3} ms -> {new_ms:.3} ms (+{:.0}% > +{:.0}%)",
-                delta * 100.0,
-                max_regress * 100.0
-            ));
-            "  REGRESSED"
-        } else {
-            ""
-        };
-        println!(
-            "{name:<28} {old_ms:>12.3} {new_ms:>12.3} {delta:>+8.1}%{flag}",
-            delta = delta * 100.0
-        );
-    }
-    for name in old_phases.keys() {
-        if !new_phases.contains_key(name) {
-            println!(
-                "{name:<28} {:>12.3} {:>12} (absent from new run)",
-                old_phases[name] as f64 / 1e6,
-                "-"
-            );
-        }
-    }
-
-    let old_metrics: BTreeMap<String, (f64, bool)> = run_metrics(&old_events)
-        .into_iter()
-        .map(|(name, value, down)| (name, (value, down)))
-        .collect();
-    println!("\n== run metrics ==");
-    for (name, new_value, regress_down) in run_metrics(&new_events) {
-        let Some(&(old_value, _)) = old_metrics.get(&name) else {
-            continue;
-        };
-        let regressed = if regress_down {
-            new_value < old_value * (1.0 - max_regress)
-        } else {
-            old_value.abs() > f64::EPSILON && new_value > old_value * (1.0 + max_regress)
-        };
-        let flag = if regressed {
-            regressions.push(format!("metric {name}: {old_value:.4} -> {new_value:.4}"));
-            "  REGRESSED"
-        } else {
-            ""
-        };
-        println!("{name:<28} {old_value:>12.4} {new_value:>12.4}{flag}");
-    }
-
-    if regressions.is_empty() {
-        println!("\nno regressions beyond {:.0}%", max_regress * 100.0);
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "\n{} regression(s) beyond {:.0}%:",
-            regressions.len(),
-            max_regress * 100.0
-        );
-        for regression in &regressions {
-            eprintln!("  {regression}");
-        }
-        ExitCode::FAILURE
     }
 }
 
@@ -364,8 +221,10 @@ fn serving(path: &str, decompose_within: Option<f64>) -> ExitCode {
             let mut sample: Vec<u64> = ok_records.iter().map(|r| pick(r)).collect();
             lifecycle::exact_quantile_ns(&mut sample, q)
         };
+        // u128: a few huge stage values must not wrap the sum
         let mean = |pick: fn(&RequestRecord) -> u64| {
-            ok_records.iter().map(|r| pick(r)).sum::<u64>() / ok_records.len() as u64
+            let sum: u128 = ok_records.iter().map(|r| u128::from(pick(r))).sum();
+            (sum / ok_records.len() as u128) as u64
         };
         md.push_str(&format!(
             "## Per-stage latency attribution ({} ok requests, ms)\n\n",
@@ -400,7 +259,10 @@ fn serving(path: &str, decompose_within: Option<f64>) -> ExitCode {
 
         // Decomposition check: the stage medians must add up to (about)
         // the end-to-end median, or the instrumentation has a hole.
-        let stage_p50_sum: u64 = STAGES.iter().map(|(_, pick)| quantile(*pick, 0.5)).sum();
+        let stage_p50_sum = STAGES
+            .iter()
+            .map(|(_, pick)| quantile(*pick, 0.5))
+            .fold(0u64, u64::saturating_add);
         let total_p50 = quantile(|r| r.total_ns, 0.5);
         let gap = if total_p50 > 0 {
             (stage_p50_sum as f64 - total_p50 as f64).abs() / total_p50 as f64
@@ -997,53 +859,10 @@ fn report(path: &str, args: &[String]) -> ExitCode {
         }
         println!("(wrote {json_path})");
     }
-    if let Some(memory_path) = flag_value(args, "--memory-json") {
-        let records = memory_records(&timings);
-        if records.is_empty() {
-            eprintln!(
-                "adq-report: no resource attribution in {path} (run with the counting \
-                 allocator and ADQ_RESOURCES=1); skipping {memory_path}"
-            );
-        } else {
-            let text = serde_json::to_string_pretty(&records).unwrap_or_else(|_| "[]".to_string());
-            if let Err(err) = std::fs::write(memory_path, text) {
-                eprintln!("adq-report: cannot write {memory_path}: {err}");
-                return ExitCode::from(2);
-            }
-            println!("(wrote {memory_path})");
-        }
-    }
     if let Some(trace_path) = flag_value(args, "--reconcile-trace") {
         return reconcile_trace(trace_path, &timings);
     }
     ExitCode::SUCCESS
-}
-
-/// Per-phase memory records for `bench_check --key bytes`: for each
-/// Algorithm-1 phase, the peak heap high-water mark and total allocated
-/// bytes across iterations, in `{name, bytes}` rows named
-/// `<phase>/peak` and `<phase>/alloc`.
-fn memory_records(timings: &[IterationTiming]) -> Vec<serde_json::Value> {
-    let mut peaks: BTreeMap<String, u64> = BTreeMap::new();
-    let mut allocs: BTreeMap<String, u64> = BTreeMap::new();
-    for timing in timings {
-        for (name, stats) in &timing.phases {
-            if !stats.resources.any() && stats.resources.heap_peak_bytes == 0 {
-                continue;
-            }
-            let peak = peaks.entry(name.clone()).or_insert(0);
-            *peak = (*peak).max(stats.resources.heap_peak_bytes);
-            *allocs.entry(name.clone()).or_insert(0) += stats.resources.alloc_bytes;
-        }
-    }
-    let mut records = Vec::new();
-    for (name, bytes) in &peaks {
-        records.push(json!({"name": format!("{name}/peak"), "bytes": bytes}));
-    }
-    for (name, bytes) in &allocs {
-        records.push(json!({"name": format!("{name}/alloc"), "bytes": bytes}));
-    }
-    records
 }
 
 /// Checks that the exported Chrome trace tells the same per-iteration

@@ -31,6 +31,5 @@ pub mod serve;
 pub use compile::{CompileError, CompileOptions, CompiledResNet, CompiledVgg};
 pub use qgemm::{Container, PackedMatrix};
 pub use serve::{
-    load_generate, load_generate_traced, stats_from_latencies, Client, LoadStats, OverloadPolicy,
-    Reply, ServeConfig, ServeModel, Server, TracedLoad,
+    load_generate, Client, LoadStats, OverloadPolicy, Reply, ServeConfig, ServeModel, Server,
 };

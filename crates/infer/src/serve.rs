@@ -90,8 +90,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use adq_telemetry::lifecycle::{
-    exact_quantile_ns, AccessLog, AccessLogHandle, RequestRecord, OUTCOME_ERROR,
-    OUTCOME_GOODBYE_REFUSED, OUTCOME_OK, OUTCOME_SHED,
+    AccessLog, AccessLogHandle, RequestRecord, OUTCOME_ERROR, OUTCOME_GOODBYE_REFUSED, OUTCOME_OK,
+    OUTCOME_SHED,
 };
 use adq_telemetry::span;
 use adq_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -1377,105 +1377,24 @@ impl Client {
 
 // ---- load generator -----------------------------------------------------
 
-/// Result of one closed-loop load run. All latency statistics are
-/// per-request over the **merged** stream of every client's completed
-/// requests — one population, so `median_ns == p50_ns` by construction.
-#[derive(Debug, Clone)]
+/// Outcome counts of one closed-loop load run, merged over every client.
+#[derive(Debug, Clone, Default)]
 pub struct LoadStats {
-    /// Concurrency level (number of closed-loop clients).
-    pub concurrency: usize,
     /// Requests completed successfully.
     pub requests: u64,
     /// Requests that returned an error.
     pub errors: u64,
     /// Requests shed by admission control.
     pub shed: u64,
-    /// Wall-clock of the whole run.
-    pub elapsed: Duration,
-    /// Exact per-request latency quantiles, in nanoseconds.
-    pub p50_ns: u64,
-    /// 90th percentile latency in nanoseconds.
-    pub p90_ns: u64,
-    /// 99th percentile latency in nanoseconds.
-    pub p99_ns: u64,
-    /// Mean latency in nanoseconds.
-    pub mean_ns: u64,
-}
-
-impl LoadStats {
-    /// Completed requests per second.
-    pub fn throughput_rps(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            0.0
-        } else {
-            self.requests as f64 / self.elapsed.as_secs_f64()
-        }
-    }
-
-    /// Mean wall-clock nanoseconds per completed request, from the
-    /// server's point of view (`elapsed / requests` — the throughput
-    /// metric expressed lower-is-better for `bench_check`).
-    pub fn ns_per_request(&self) -> u64 {
-        if self.requests == 0 {
-            u64::MAX
-        } else {
-            (self.elapsed.as_nanos() / u128::from(self.requests)) as u64
-        }
-    }
-
-    /// Per-request median latency over the merged stream — identical to
-    /// [`LoadStats::p50_ns`]; kept as a named accessor so snapshot
-    /// writers can't accidentally mix populations again.
-    pub fn median_ns(&self) -> u64 {
-        self.p50_ns
-    }
-}
-
-/// Builds a [`LoadStats`] from a merged per-request latency stream.
-/// Callers sort nothing; quantiles and the mean are all computed here,
-/// over the same population.
-pub fn stats_from_latencies(
-    concurrency: usize,
-    mut latencies: Vec<u64>,
-    errors: u64,
-    shed: u64,
-    elapsed: Duration,
-) -> LoadStats {
-    let mut quantile = |q: f64| exact_quantile_ns(&mut latencies, q);
-    let (p50_ns, p90_ns, p99_ns) = (quantile(0.50), quantile(0.90), quantile(0.99));
-    let mean = if latencies.is_empty() {
-        0
-    } else {
-        (latencies.iter().map(|&v| u128::from(v)).sum::<u128>() / latencies.len() as u128) as u64
-    };
-    LoadStats {
-        concurrency,
-        requests: latencies.len() as u64,
-        errors,
-        shed,
-        elapsed,
-        p50_ns,
-        p90_ns,
-        p99_ns,
-        mean_ns: mean,
-    }
-}
-
-/// A traced load run: the merged latency statistics plus the server's
-/// trace ids for every successfully answered request, for joining
-/// client-side latencies against the server's access-log records.
-#[derive(Debug, Clone)]
-pub struct TracedLoad {
-    /// The merged closed-loop statistics (as [`load_generate`]).
-    pub stats: LoadStats,
     /// Server-assigned trace ids of the OK responses, in no particular
-    /// order (one per counted request when the server echoes ids).
+    /// order (one per counted request when the server echoes ids), for
+    /// joining against the server's access log.
     pub trace_ids: Vec<u64>,
 }
 
 /// Runs `concurrency` closed-loop clients, each issuing
-/// `requests_per_client` inference requests back-to-back, and merges the
-/// exact latency distribution.
+/// `requests_per_client` inference requests back-to-back with
+/// [`FLAG_TRACED`] set, and merges their outcomes.
 ///
 /// # Errors
 ///
@@ -1486,44 +1405,13 @@ pub fn load_generate(
     requests_per_client: usize,
     input_len: usize,
 ) -> io::Result<LoadStats> {
-    Ok(run_load(addr, concurrency, requests_per_client, input_len, false)?.stats)
-}
-
-/// [`load_generate`] with [`FLAG_TRACED`] set on every request,
-/// additionally collecting the server-assigned trace ids so callers can
-/// join against the server's access log for per-stage attribution.
-///
-/// # Errors
-///
-/// Returns the first socket-level failure any client hits.
-pub fn load_generate_traced(
-    addr: SocketAddr,
-    concurrency: usize,
-    requests_per_client: usize,
-    input_len: usize,
-) -> io::Result<TracedLoad> {
-    run_load(addr, concurrency, requests_per_client, input_len, true)
-}
-
-fn run_load(
-    addr: SocketAddr,
-    concurrency: usize,
-    requests_per_client: usize,
-    input_len: usize,
-    traced: bool,
-) -> io::Result<TracedLoad> {
-    let started = Instant::now();
-    let mut handles = Vec::new();
-    for worker in 0..concurrency {
-        handles.push(std::thread::spawn(
-            move || -> io::Result<(Vec<u64>, Vec<u64>, u64, u64)> {
+    let handles: Vec<_> = (0..concurrency)
+        .map(|worker| {
+            std::thread::spawn(move || -> io::Result<LoadStats> {
                 let mut client = Client::connect(addr)?;
                 // deterministic per-worker input stream (cheap LCG)
                 let mut state = 0x9E3779B97F4A7C15u64 ^ (worker as u64) << 32;
-                let mut latencies = Vec::with_capacity(requests_per_client);
-                let mut trace_ids = Vec::new();
-                let mut errors = 0u64;
-                let mut shed = 0u64;
+                let mut stats = LoadStats::default();
                 let mut input = vec![0f32; input_len];
                 for _ in 0..requests_per_client {
                     for slot in input.iter_mut() {
@@ -1532,46 +1420,30 @@ fn run_load(
                             .wrapping_add(1442695040888963407);
                         *slot = ((state >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0;
                     }
-                    let sent = Instant::now();
-                    let (reply, trace_id) = if traced {
-                        client.infer_traced(&input)?
-                    } else {
-                        (client.infer(&input)?, None)
-                    };
-                    match reply {
-                        Reply::Logits(_) => {
-                            latencies
-                                .push(u64::try_from(sent.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                            if let Some(id) = trace_id {
-                                trace_ids.push(id);
-                            }
+                    match client.infer_traced(&input)? {
+                        (Reply::Logits(_), trace_id) => {
+                            stats.requests += 1;
+                            stats.trace_ids.extend(trace_id);
                         }
-                        Reply::Refused(_) => errors += 1,
-                        Reply::Shed(_) => shed += 1,
+                        (Reply::Refused(_), _) => stats.errors += 1,
+                        (Reply::Shed(_), _) => stats.shed += 1,
                     }
                 }
-                Ok((latencies, trace_ids, errors, shed))
-            },
-        ));
-    }
-    let mut latencies = Vec::new();
-    let mut trace_ids = Vec::new();
-    let mut errors = 0u64;
-    let mut shed = 0u64;
+                Ok(stats)
+            })
+        })
+        .collect();
+    let mut merged = LoadStats::default();
     for handle in handles {
-        let (worker_latencies, worker_traces, worker_errors, worker_shed) = handle
+        let worker = handle
             .join()
             .map_err(|_| io::Error::other("load worker panicked"))??;
-        latencies.extend(worker_latencies);
-        trace_ids.extend(worker_traces);
-        errors += worker_errors;
-        shed += worker_shed;
+        merged.requests += worker.requests;
+        merged.errors += worker.errors;
+        merged.shed += worker.shed;
+        merged.trace_ids.extend(worker.trace_ids);
     }
-    let elapsed = started.elapsed();
-    Ok(TracedLoad {
-        stats: stats_from_latencies(concurrency, latencies, errors, shed, elapsed),
-        trace_ids,
-    })
+    Ok(merged)
 }
 
 #[cfg(test)]
@@ -1581,6 +1453,8 @@ mod tests {
     use adq_nn::{QuantModel, Vgg};
     use adq_quant::BitWidth;
     use adq_tensor::init;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn compiled_tiny() -> Arc<CompiledVgg> {
         let mut model = Vgg::tiny(3, 8, 4, 99);
@@ -1631,20 +1505,102 @@ mod tests {
         assert!(oversized.next_frame().is_err());
     }
 
-    #[test]
-    fn merged_stream_median_equals_p50() {
-        let stats = stats_from_latencies(
-            4,
-            vec![900, 100, 500, 300, 700],
-            0,
-            0,
-            Duration::from_millis(10),
-        );
-        assert_eq!(stats.median_ns(), stats.p50_ns);
-        assert_eq!(stats.p50_ns, 500);
-        assert_eq!(stats.p99_ns, 900);
-        assert_eq!(stats.mean_ns, 500);
-        assert_eq!(stats.requests, 5);
+    /// Feeds `wire` to a fresh reader in pieces cut at `cuts` (taken
+    /// modulo the length), draining after every push and parsing every
+    /// frame: the frames that came out, and whether an oversized length
+    /// prefix ended the stream.
+    fn feed_in_pieces(wire: &[u8], cuts: &[usize]) -> (Vec<Vec<u8>>, bool) {
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (wire.len() + 1)).collect();
+        bounds.extend([0, wire.len()]);
+        bounds.sort_unstable();
+        let mut reader = FrameReader::default();
+        let mut frames = Vec::new();
+        for piece in bounds.windows(2) {
+            reader.push(&wire[piece[0]..piece[1]]);
+            loop {
+                match reader.next_frame() {
+                    Ok(Some(frame)) => {
+                        let _ = parse_request(&frame);
+                        frames.push(frame);
+                    }
+                    Ok(None) => break,
+                    Err(_) => return (frames, true),
+                }
+            }
+        }
+        (frames, false)
+    }
+
+    proptest! {
+        /// Well-formed request frames followed by arbitrary bytes come out
+        /// the same whatever the split points, and each request parses
+        /// back to what was encoded.
+        #[test]
+        fn request_frames_survive_arbitrary_splits(
+            requests in vec(
+                (
+                    any::<u8>(),
+                    any::<u64>(),
+                    vec(any::<u32>(), 0..6),
+                ),
+                0..5,
+            ),
+            tail in vec(any::<u8>(), 0..12),
+            cuts in vec(any::<usize>(), 0..8),
+        ) {
+            let mut wire = Vec::new();
+            for (head, id, bits) in &requests {
+                let values: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+                wire.extend(encode_frame(*head, *id, Body::Floats(&values), None));
+            }
+            wire.extend(&tail);
+            let whole = feed_in_pieces(&wire, &[]);
+            prop_assert_eq!(feed_in_pieces(&wire, &cuts), whole.clone());
+            prop_assert!(whole.0.len() >= requests.len());
+            for ((head, id, bits), frame) in requests.iter().zip(&whole.0) {
+                let (kind, traced, got_id, values) = parse_request(frame).expect("well-formed");
+                prop_assert_eq!(kind, head & KIND_MASK);
+                prop_assert_eq!(traced, head & FLAG_TRACED != 0);
+                prop_assert_eq!(got_id, *id);
+                let got_bits: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(&got_bits, bits);
+            }
+        }
+
+        /// Arbitrary bytes, with a plausible length prefix or none, never
+        /// panic the reader or the parser, and split points do not change
+        /// what comes out.
+        #[test]
+        fn arbitrary_streams_are_split_invariant(
+            len in 0u32..48,
+            prefixed in any::<bool>(),
+            bytes in vec(any::<u8>(), 0..96),
+            cuts in vec(any::<usize>(), 0..8),
+        ) {
+            let mut wire = if prefixed { len.to_le_bytes().to_vec() } else { Vec::new() };
+            wire.extend(&bytes);
+            prop_assert_eq!(feed_in_pieces(&wire, &cuts), feed_in_pieces(&wire, &[]));
+        }
+
+        /// A length prefix over the cap is an error as soon as its four
+        /// bytes are in, and the failing call reserves nothing.
+        #[test]
+        fn oversized_prefix_errs_without_allocating(
+            len in (MAX_FRAME as u32 + 1)..=u32::MAX,
+            extra in vec(any::<u8>(), 0..32),
+            cut in 0usize..4,
+        ) {
+            let mut wire = len.to_le_bytes().to_vec();
+            wire.extend(&extra);
+            let mut reader = FrameReader::default();
+            reader.push(&wire[..cut]);
+            prop_assert!(reader.next_frame().unwrap().is_none());
+            reader.push(&wire[cut..]);
+            let capacity = reader.buf.capacity();
+            prop_assert!(reader.next_frame().is_err());
+            prop_assert_eq!(reader.buf.capacity(), capacity);
+            prop_assert!(capacity < 64);
+        }
     }
 
     #[test]
@@ -1690,7 +1646,6 @@ mod tests {
         assert_eq!(stats.requests, 40);
         assert_eq!(stats.errors, 0);
         assert_eq!(stats.shed, 0);
-        assert!(stats.p99_ns >= stats.p50_ns);
         let sizes = server.metrics().histogram("serve.batch_size");
         assert!(sizes.count() > 0, "no executor recorded batches");
         assert_eq!(server.metrics().counter("serve.requests").get(), 3 + 1 + 40);

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use adq_infer::load_generate_traced;
+use adq_infer::load_generate;
 use adq_infer::serve::{Client, OverloadPolicy, Reply, ServeConfig, ServeModel, Server};
 use adq_telemetry::lifecycle::{self, AccessLog, RequestRecord};
 use adq_tensor::Tensor;
@@ -252,15 +252,15 @@ fn shed_and_ok_outcomes_reconcile_with_counters() {
     )
     .unwrap();
 
-    let load = load_generate_traced(server.local_addr(), 6, 3, model.input_len()).unwrap();
-    assert_eq!(load.stats.errors, 0);
+    let load = load_generate(server.local_addr(), 6, 3, model.input_len()).unwrap();
+    assert_eq!(load.errors, 0);
     assert!(
-        load.stats.shed > 0,
+        load.shed > 0,
         "6 closed-loop clients over queue_cap=1 with a 25ms model must shed"
     );
     assert_eq!(
         load.trace_ids.len() as u64,
-        load.stats.requests,
+        load.requests,
         "every ok reply must carry a trace id"
     );
 
@@ -271,13 +271,13 @@ fn shed_and_ok_outcomes_reconcile_with_counters() {
     // one record per request, split exactly as the clients observed
     let ok = records_with(&view.records, lifecycle::OUTCOME_OK);
     let shed = records_with(&view.records, lifecycle::OUTCOME_SHED);
-    assert_eq!(ok.len() as u64, load.stats.requests);
-    assert_eq!(shed.len() as u64, load.stats.shed);
+    assert_eq!(ok.len() as u64, load.requests);
+    assert_eq!(shed.len() as u64, load.shed);
     assert_eq!(view.records.len() as u64, 6 * 3);
 
     // the server's own counters hold exactly these requests
     let counter = |name: &str| server.metrics().counter(name).get();
-    assert_eq!(counter("serve.shed_total"), load.stats.shed);
+    assert_eq!(counter("serve.shed_total"), load.shed);
     assert_eq!(counter("serve.requests"), 6 * 3);
 
     // the echoed trace ids join 1:1 against the ok records

@@ -22,8 +22,7 @@
 //!   the summary line carries them so `adq-report --serving` can render
 //!   tail-latency attribution without re-scanning for the tail.
 //! * [`read_records`] / [`parse_line`] — the parsing half, shared by
-//!   `adq-report --serving`, `adq-watch --access-log`, and the load
-//!   generator's server-side latency join.
+//!   `adq-report --serving` and `adq-watch --access-log`.
 //!
 //! Logging is observation-only by contract: a server with an access log
 //! attached must produce byte-identical responses to one without
@@ -104,8 +103,13 @@ impl RequestRecord {
     /// Sum of the per-stage deltas — per request this tracks
     /// [`RequestRecord::total_ns`] minus only the time spent waiting for
     /// batch-mates' responses to be written ahead of this one.
+    /// Saturates at `u64::MAX` rather than wrapping on corrupt values.
     pub fn stage_sum_ns(&self) -> u64 {
-        self.admit_ns + self.queue_wait_ns + self.batch_wait_ns + self.exec_ns + self.write_ns
+        self.admit_ns
+            .saturating_add(self.queue_wait_ns)
+            .saturating_add(self.batch_wait_ns)
+            .saturating_add(self.exec_ns)
+            .saturating_add(self.write_ns)
     }
 }
 
@@ -403,8 +407,8 @@ pub fn read_records(path: impl AsRef<Path>) -> io::Result<AccessLogView> {
     Ok(view)
 }
 
-/// Exact quantile over an unsorted sample (nearest-rank, the same
-/// convention as `LoadStats`): `q` in `[0, 1]`, `0` on an empty sample.
+/// Exact quantile over an unsorted sample (nearest-rank): `q` in
+/// `[0, 1]`, `0` on an empty sample.
 pub fn exact_quantile_ns(values: &mut [u64], q: f64) -> u64 {
     if values.is_empty() {
         return 0;
@@ -447,6 +451,13 @@ mod tests {
             other => panic!("expected record, got {other:?}"),
         }
         assert_eq!(original.stage_sum_ns(), 5_000);
+    }
+
+    #[test]
+    fn stage_sum_saturates_instead_of_wrapping() {
+        let mut huge = record(1, 10_000_000_000_000_000_000, OUTCOME_OK);
+        huge.queue_wait_ns = huge.total_ns;
+        assert_eq!(huge.stage_sum_ns(), u64::MAX);
     }
 
     #[test]

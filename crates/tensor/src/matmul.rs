@@ -17,9 +17,8 @@
 //! panels) as plain `Vec`s.
 //!
 //! The pre-blocking kernels remain available as `matmul_naive` /
-//! `matmul_at_b_naive` / `matmul_a_bt_naive` — they are the comparison
-//! baseline for the `kernels` criterion bench and the reference oracle
-//! for the dispatch-boundary proptests.
+//! `matmul_at_b_naive` / `matmul_a_bt_naive` — they are the reference
+//! oracle for the dispatch-boundary proptests.
 
 use std::sync::{Arc, OnceLock};
 
@@ -39,7 +38,7 @@ use crate::tensor::Tensor;
 const PAR_ROW_THRESHOLD: usize = 8;
 
 // The flop floor before the fallback loops split across threads lives in
-// crate::dispatch (GEMM_PAR_FLOPS_DEFAULT, overridable via ADQ_PAR_FLOPS):
+// crate::dispatch (GEMM_PAR_FLOPS):
 // rayon dispatch costs on the order of microseconds, and a tall but skinny
 // product (say 64×4·4, a training-batch logits matmul) has plenty of rows
 // yet finishes serially long before the thread pool warms up.
@@ -49,7 +48,7 @@ const PAR_ROW_THRESHOLD: usize = 8;
 #[inline]
 fn par_dispatch(m: usize, n: usize, k: usize) -> bool {
     m >= PAR_ROW_THRESHOLD
-        && m.saturating_mul(n).saturating_mul(k) >= crate::dispatch::gemm_par_flop_threshold()
+        && m.saturating_mul(n).saturating_mul(k) >= crate::dispatch::GEMM_PAR_FLOPS
 }
 
 /// Wall-time of every matmul variant, recorded into the process-wide
@@ -259,8 +258,8 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
     Tensor::from_vec(out, &[m, n])
 }
 
-/// `C = A · B` via the pre-blocking streaming loops — the criterion-bench
-/// baseline and proptest oracle. Accumulates in ascending-k order,
+/// `C = A · B` via the pre-blocking streaming loops — the proptest
+/// oracle. Accumulates in ascending-k order,
 /// skipping zero `a` entries.
 ///
 /// # Errors

@@ -11,9 +11,6 @@
 //! adq-serve probe    --addr HOST:PORT [--requests N]
 //!                    [--burst N [--expect-shed 0|1]]
 //! adq-serve shutdown --addr HOST:PORT
-//! adq-serve load-gen [--concurrency 1,4] [--replicas 1] [--requests N]
-//!                    [--out FILE.json] [--max-batch N] [--max-wait-ms MS]
-//!                    [--queue-cap N] [--seed S] ...
 //! adq-serve help
 //! ```
 //!
@@ -45,18 +42,6 @@
 //! simultaneously — against a small `--queue-cap` this demonstrates
 //! typed shed frames over the wire (`--expect-shed 1` turns "no request
 //! was shed" into an error for CI).
-//!
-//! `load-gen` runs the serving benchmark fully in-process: it drives the
-//! batched integer server at each requested concurrency level and
-//! replica count, and writes `bench_check` records to `--out`. All latency statistics (`median_ns` == `p50_ns`,
-//! `p90_ns`, `p99_ns`, `mean_ns`) are per-request over the merged
-//! stream of every client's completions; `ns_per_request` is wall-clock
-//! time over completed requests — the lower-is-better throughput metric
-//! the bench gates compare. Each batched record additionally carries
-//! server-side `queue_wait_p99_ns` and `exec_p99_ns`, recovered from a
-//! per-level access log joined to the client's requests by echoed trace
-//! ids, so `bench_check --key queue_wait_p99_ns` can gate queueing
-//! regressions directly.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -65,15 +50,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adq::core::checkpoint::{restore_model, CheckpointManager, RunCheckpoint};
-use adq::infer::serve::{
-    load_generate, load_generate_traced, Client, LoadStats, OverloadPolicy, Reply, ServeConfig,
-    Server, TracedLoad,
-};
+use adq::infer::serve::{Client, OverloadPolicy, Reply, ServeConfig, Server};
 use adq::infer::{CompileOptions, CompiledVgg};
 use adq::nn::{QuantModel, Vgg};
 use adq::quant::BitWidth;
 use adq::telemetry::endpoint;
-use adq::telemetry::lifecycle::{self, RequestRecord};
+use adq::telemetry::lifecycle;
 use adq::telemetry::metrics;
 use adq::telemetry::AccessLog;
 use adq::tensor::init;
@@ -95,7 +77,6 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(&flags),
         "probe" => cmd_probe(&flags),
         "shutdown" => cmd_shutdown(&flags),
-        "load-gen" => cmd_load_gen(&flags),
         "help" | "--help" | "-h" => {
             print_help();
             Ok(())
@@ -149,7 +130,7 @@ fn build_model(flags: &Flags) -> Result<CompiledVgg, String> {
 
 /// The demo model: a seeded small VGG with every layer quantized at
 /// `--bits`, compiled against a seeded calibration batch. Deterministic,
-/// so `serve`, `probe` and `load-gen` agree on weights.
+/// so `serve` and `probe` agree on weights.
 fn demo_model(flags: &Flags) -> Result<CompiledVgg, String> {
     let seed: u64 = get(flags, "seed", 0)?;
     let resolution: usize = get(flags, "resolution", 16)?;
@@ -416,183 +397,6 @@ fn cmd_shutdown(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn record_json(name: &str, stats: &LoadStats) -> String {
-    format!(
-        concat!(
-            "  {{\"name\": \"{}\", \"median_ns\": {}, \"mean_ns\": {}, ",
-            "\"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, ",
-            "\"ns_per_request\": {}, \"throughput_rps\": {:.2}, ",
-            "\"concurrency\": {}, \"requests\": {}, \"shed\": {}}}"
-        ),
-        name,
-        stats.median_ns(),
-        stats.mean_ns,
-        stats.p50_ns,
-        stats.p90_ns,
-        stats.p99_ns,
-        stats.ns_per_request(),
-        stats.throughput_rps(),
-        stats.concurrency,
-        stats.requests,
-        stats.shed
-    )
-}
-
-/// [`record_json`] plus the server-side stage percentiles recovered from
-/// the access log via echoed trace ids — the keys `bench_check` gates
-/// with `--key queue_wait_p99_ns`.
-fn record_json_traced(
-    name: &str,
-    stats: &LoadStats,
-    queue_wait_p99_ns: u64,
-    exec_p99_ns: u64,
-) -> String {
-    let base = record_json(name, stats);
-    format!(
-        "{}, \"queue_wait_p99_ns\": {queue_wait_p99_ns}, \"exec_p99_ns\": {exec_p99_ns}}}",
-        base.strip_suffix('}').expect("record ends with a brace")
-    )
-}
-
-fn cmd_load_gen(flags: &Flags) -> Result<(), String> {
-    let compiled = build_model(flags)?;
-    // --replicas is a sweep list here (not a single count as in `serve`);
-    // the per-level server overrides ServeConfig::replicas anyway
-    let mut scalar_flags = flags.clone();
-    scalar_flags.remove("replicas");
-    let config = serve_config(&scalar_flags)?;
-    let requests: usize = get(flags, "requests", 64)?;
-    let out = flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_serving.json".to_string());
-    let parse_list = |name: &str, default: &str| -> Result<Vec<usize>, String> {
-        flags
-            .get(name)
-            .map(String::as_str)
-            .unwrap_or(default)
-            .split(',')
-            .map(|c| {
-                c.trim()
-                    .parse()
-                    .map_err(|_| format!("flag --{name}: cannot parse `{c}`"))
-            })
-            .collect()
-    };
-    let concurrency = parse_list("concurrency", "1,4")?;
-    let replicas = parse_list("replicas", "1")?;
-
-    let compiled = Arc::new(compiled);
-    let input_len = compiled.input_len();
-    let mut records = Vec::new();
-    let mut served_by = Vec::new();
-    let run_level = |server_addr: SocketAddr, c: usize| -> Result<TracedLoad, String> {
-        // warm up the packing scratch and branch predictors off-record
-        load_generate(server_addr, c, 4, input_len).map_err(|e| e.to_string())?;
-        let traced =
-            load_generate_traced(server_addr, c, requests, input_len).map_err(|e| e.to_string())?;
-        if traced.stats.errors > 0 {
-            return Err(format!(
-                "load-gen at concurrency {c}: {} errors",
-                traced.stats.errors
-            ));
-        }
-        Ok(traced)
-    };
-
-    for (i, &r) in replicas.iter().enumerate() {
-        let level_config = ServeConfig {
-            replicas: r,
-            ..config
-        };
-        // each level's server keeps a throwaway access log so the records
-        // can carry *server-side* stage percentiles, joined to this
-        // client's requests by the echoed trace ids
-        let log_path = std::env::temp_dir().join(format!(
-            "adq_loadgen_access_{}_{r}.jsonl",
-            std::process::id()
-        ));
-        let log = AccessLog::create(&log_path, lifecycle::DEFAULT_EXEMPLARS)
-            .map_err(|e| format!("cannot create load-gen access log: {e}"))?;
-        let mut server = Server::bind_logged(
-            "127.0.0.1:0",
-            Arc::clone(&compiled) as _,
-            level_config,
-            Some(log),
-        )
-        .map_err(|e| format!("cannot bind load-gen server: {e}"))?;
-        let addr = server.local_addr();
-        // the first replica count sweeps every concurrency level (the
-        // committed per-concurrency records); additional counts measure
-        // replica scaling at the highest concurrency only
-        let levels: &[usize] = if i == 0 {
-            &concurrency
-        } else {
-            std::slice::from_ref(concurrency.iter().max().expect("non-empty concurrency"))
-        };
-        let mut measured: Vec<(String, TracedLoad)> = Vec::new();
-        for &c in levels {
-            let traced = run_level(addr, c)?;
-            let name = if i == 0 {
-                format!("serving/int8_batched_c{c}")
-            } else {
-                format!("serving/int8_batched_c{c}_r{r}")
-            };
-            println!(
-                "  {}: {:.1} req/s, p50 {:.2} ms, p99 {:.2} ms, {} shed",
-                name.trim_start_matches("serving/"),
-                traced.stats.throughput_rps(),
-                traced.stats.p50_ns as f64 / 1e6,
-                traced.stats.p99_ns as f64 / 1e6,
-                traced.stats.shed
-            );
-            measured.push((name, traced));
-        }
-        // shutdown joins the service threads and closes the log (summary
-        // line + flush), so the read below sees every record
-        server.shutdown();
-        served_by.push(Arc::clone(server.metrics()));
-        let view = lifecycle::read_records(&log_path)
-            .map_err(|e| format!("cannot read load-gen access log: {e}"))?;
-        let by_trace: HashMap<u64, &RequestRecord> =
-            view.records.iter().map(|rec| (rec.trace_id, rec)).collect();
-        for (name, traced) in &measured {
-            let level_records: Vec<&RequestRecord> = traced
-                .trace_ids
-                .iter()
-                .filter_map(|id| by_trace.get(id).copied())
-                .collect();
-            let mut queue: Vec<u64> = level_records.iter().map(|rec| rec.queue_wait_ns).collect();
-            let mut exec: Vec<u64> = level_records.iter().map(|rec| rec.exec_ns).collect();
-            let q99 = lifecycle::exact_quantile_ns(&mut queue, 0.99);
-            let e99 = lifecycle::exact_quantile_ns(&mut exec, 0.99);
-            records.push(record_json_traced(name, &traced.stats, q99, e99));
-        }
-        std::fs::remove_file(&log_path).ok();
-    }
-
-    // the servers ran in-process: sum their executor metrics
-    let (mut batches, mut batch_ns, mut served) = (0u64, 0u64, 0u64);
-    for registry in &served_by {
-        let runs = registry.histogram("serve.batch_run_ns");
-        batches += runs.count();
-        batch_ns += runs.sum();
-        served += registry.counter("serve.requests").get();
-    }
-    if batches > 0 {
-        println!(
-            "  executors: {batches} batches for {served} requests (avg {:.1}/batch), batch compute mean {:.2} ms",
-            served as f64 / batches as f64,
-            batch_ns as f64 / batches as f64 / 1e6
-        );
-    }
-
-    let json = format!("[\n{}\n]\n", records.join(",\n"));
-    std::fs::write(&out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
 fn print_help() {
     println!(
         "adq-serve — scaled-out integer inference server\n\
@@ -613,9 +417,6 @@ fn print_help() {
          \x20            --burst N  --expect-shed 0|1   (overload drill)\n\
          \x20 shutdown   ask a running server to drain and stop\n\
          \x20            --addr HOST:PORT\n\
-         \x20 load-gen   in-process serving benchmark -> BENCH_serving.json\n\
-         \x20            --concurrency 1,4  --replicas 1,2,4  --requests N\n\
-         \x20            --out FILE.json\n\
          \x20 help       this message"
     );
 }

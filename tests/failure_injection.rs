@@ -2,11 +2,17 @@
 //! defined behaviour (errors or documented fallbacks), never silent
 //! corruption.
 
+use std::path::PathBuf;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
+
+use adq::core::checkpoint::CheckpointManager;
 use adq::core::{AdQuantizer, AdqConfig};
 use adq::datasets::SyntheticSpec;
 use adq::nn::train::Dataset;
 use adq::nn::{QuantModel, Vgg};
 use adq::quant::{BitWidth, QuantRange, Quantizer};
+use adq::telemetry::NullSink;
 use adq::tensor::Tensor;
 
 #[test]
@@ -141,4 +147,99 @@ fn extreme_pruning_respects_floor() {
     // the model still produces valid output
     let logits = model.forward(&test.images, false);
     assert!(logits.data().iter().all(|v| v.is_finite()));
+}
+
+/// A real checkpoint from a two-iteration run (the first iteration's
+/// state is saved because the run continues), written under `target/`.
+fn trained_checkpoint(name: &str) -> (PathBuf, Vec<u8>) {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("target/failure-injection")
+        .join(format!("{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let manager = CheckpointManager::new(&dir).unwrap();
+    let (train, test) = SyntheticSpec::cifar10_like()
+        .with_classes(4)
+        .with_resolution(8)
+        .with_samples(8, 4)
+        .generate();
+    let config = AdqConfig {
+        max_iterations: 2,
+        ..AdqConfig::fast()
+    };
+    AdQuantizer::new(config)
+        .run_checkpointed(
+            &mut Vgg::tiny(3, 8, 4, 3),
+            &train,
+            &test,
+            &NullSink,
+            &manager,
+        )
+        .unwrap();
+    let path = manager
+        .latest()
+        .unwrap()
+        .expect("the run wrote a checkpoint");
+    let bytes = std::fs::read(&path).unwrap();
+    (dir, bytes)
+}
+
+/// `adq-serve serve --checkpoint` on a corrupt file must fail loudly with
+/// the typed checkpoint error, before it binds or publishes a port.
+#[test]
+fn serving_refuses_truncated_and_bit_flipped_checkpoints() {
+    let (dir, bytes) = trained_checkpoint("serve-corrupt");
+    let header_len = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    let mut flipped = bytes.clone();
+    flipped[header_len + (bytes.len() - header_len) / 2] ^= 0x10;
+    let cases = [
+        (
+            "truncated-header",
+            bytes[..header_len / 2].to_vec(),
+            "missing ADQCKPT header",
+        ),
+        (
+            "truncated-payload",
+            bytes[..(header_len + bytes.len()) / 2].to_vec(),
+            "checkpoint payload corrupted",
+        ),
+        ("bit-flipped", flipped, "checkpoint payload corrupted"),
+    ];
+    for (name, corrupt, expected) in cases {
+        let ckpt = dir.join(format!("{name}.ckpt"));
+        let port_file = dir.join(format!("{name}.port"));
+        std::fs::write(&ckpt, corrupt).unwrap();
+        let mut child = Command::new(env!("CARGO_BIN_EXE_adq-serve"))
+            .arg("serve")
+            .arg("--checkpoint")
+            .arg(&ckpt)
+            .args(["--arch", "tiny", "--resolution", "8", "--classes", "4"])
+            .args(["--addr", "127.0.0.1:0", "--port-file"])
+            .arg(&port_file)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        // a server that accepted the file would never exit on its own
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while child.try_wait().unwrap().is_none() {
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("{name}: adq-serve kept serving a corrupt checkpoint");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "{name}: adq-serve served a corrupt checkpoint"
+        );
+        assert!(
+            stderr.contains("cannot load checkpoint") && stderr.contains(expected),
+            "{name}: stderr lacks the typed checkpoint error `{expected}`: {stderr}"
+        );
+        assert!(!port_file.exists(), "{name}: adq-serve published a port");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
